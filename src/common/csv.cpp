@@ -1,13 +1,19 @@
 #include "common/csv.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
+#include <utility>
 
 #include "common/error.h"
 #include "common/failpoint.h"
 
 namespace acdn {
 
-CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
+CsvWriter::CsvWriter(const std::string& path)
+    : path_(path),
+      out_(path),
+      buf_(std::make_unique_for_overwrite<char[]>(kBufferBytes)) {
   if (!out_) throw Error("csv: cannot open " + path);
   // Injected I/O error ("csv/write", kind error): simulates EIO/ENOSPC at
   // open. Export code runs outside the day loop, so the fire decision is
@@ -21,29 +27,58 @@ CsvWriter::CsvWriter(const std::string& path) : path_(path), out_(path) {
   }
 }
 
-void CsvWriter::write_field(std::string_view field, bool first) {
-  if (!first) out_ << ',';
-  const bool needs_quote =
-      field.find_first_of(",\"\n") != std::string_view::npos;
-  if (!needs_quote) {
-    out_ << field;
-    return;
-  }
-  out_ << '"';
-  for (char c : field) {
-    if (c == '"') out_ << '"';
-    out_ << c;
-  }
-  out_ << '"';
+CsvWriter::~CsvWriter() {
+  // Unchecked: a destructor cannot throw. flush() is the checked path.
+  out_.write(buf_.get(), static_cast<std::streamsize>(used_));
 }
 
 void CsvWriter::check_stream() const {
   if (!out_) throw Error("csv: write failed (disk full?): " + path_);
 }
 
+void CsvWriter::spill() {
+  const std::size_t n = std::exchange(used_, 0);
+  out_.write(buf_.get(), static_cast<std::streamsize>(n));
+  check_stream();
+}
+
 void CsvWriter::flush() {
+  spill();
   out_.flush();
   check_stream();
+}
+
+void CsvWriter::put(char c) {
+  if (used_ == kBufferBytes) spill();
+  buf_[used_++] = c;
+}
+
+void CsvWriter::append(std::string_view bytes) {
+  while (!bytes.empty()) {
+    if (used_ == kBufferBytes) spill();
+    const std::size_t n = std::min(bytes.size(), kBufferBytes - used_);
+    std::memcpy(buf_.get() + used_, bytes.data(), n);
+    used_ += n;
+    bytes.remove_prefix(n);
+  }
+}
+
+void CsvWriter::write_field(std::string_view field, bool first) {
+  if (!first) put(',');
+  if (field.find_first_of(",\"\n") == std::string_view::npos) {
+    append(field);
+    return;
+  }
+  put('"');
+  for (;;) {
+    const std::size_t quote = field.find('"');
+    if (quote == std::string_view::npos) break;
+    append(field.substr(0, quote + 1));
+    put('"');  // doubled
+    field.remove_prefix(quote + 1);
+  }
+  append(field);
+  put('"');
 }
 
 void CsvWriter::write_row(std::span<const std::string> fields) {
@@ -52,8 +87,7 @@ void CsvWriter::write_row(std::span<const std::string> fields) {
     write_field(f, first);
     first = false;
   }
-  out_ << '\n';
-  check_stream();
+  put('\n');
 }
 
 void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
@@ -62,27 +96,36 @@ void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
     write_field(f, first);
     first = false;
   }
-  out_ << '\n';
-  check_stream();
+  put('\n');
 }
 
-std::string CsvWriter::format_double(double v) {
-  // Shortest representation that round-trips exactly, so exported data
-  // re-imports bit-identical.
-  char buf[32];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc{}) return "nan";
-  return std::string(buf, ptr);
+char* CsvWriter::format_number(char* out, double v) {
+  const auto [ptr, ec] = std::to_chars(out, out + kMaxNumberChars, v);
+  if (ec == std::errc{}) return ptr;
+  std::memcpy(out, "nan", 3);
+  return out + 3;
+}
+
+void CsvWriter::write_numbers(std::span<const double> values, bool first) {
+  // Numbers never need quoting: each field formats in place.
+  for (double v : values) {
+    if (kBufferBytes - used_ <= kMaxNumberChars) spill();
+    char* p = buf_.get() + used_;
+    if (!first) *p++ = ',';
+    used_ = static_cast<std::size_t>(format_number(p, v) - buf_.get());
+    first = false;
+  }
+  put('\n');
 }
 
 void CsvWriter::write_row(std::span<const double> values) {
-  bool first = true;
-  for (double v : values) {
-    write_field(format_double(v), first);
-    first = false;
-  }
-  out_ << '\n';
-  check_stream();
+  write_numbers(values, true);
+}
+
+void CsvWriter::write_row(std::string_view leading,
+                          std::span<const double> values) {
+  append(leading);
+  write_numbers(values, leading.empty());
 }
 
 }  // namespace acdn

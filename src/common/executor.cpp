@@ -175,7 +175,7 @@ bool Executor::try_steal(std::size_t index, Task& out) {
       if (!it->batch->allows(index, n)) continue;
       out = *it;
       victim.tasks.erase(it);
-      metric_count("executor.steals");
+      metric_count_scheduling("executor.steals");
       return true;
     }
   }

@@ -103,6 +103,7 @@ void fold_histogram(HistogramStats& out, const ShardHistogram& shard) {
 struct MetricsRegistry::Shard {
   Mutex m;
   NameMap<std::uint64_t> counters ACDN_GUARDED_BY(m);
+  NameMap<std::uint64_t> scheduling ACDN_GUARDED_BY(m);
   NameMap<ShardHistogram> histograms ACDN_GUARDED_BY(m);
 };
 
@@ -137,16 +138,32 @@ MetricsRegistry::Shard& MetricsRegistry::local_shard() {
   return *cached;
 }
 
+namespace {
+
+void add_count(NameMap<std::uint64_t>& counts, std::string_view name,
+               std::uint64_t delta) {
+  auto it = counts.find(name);
+  if (it == counts.end()) {
+    counts.emplace(std::string(name), delta);
+  } else {
+    it->second += delta;
+  }
+}
+
+}  // namespace
+
 void MetricsRegistry::counter_add(std::string_view name,
                                   std::uint64_t delta) {
   Shard& shard = local_shard();
   MutexLock lock(shard.m);
-  auto it = shard.counters.find(name);
-  if (it == shard.counters.end()) {
-    shard.counters.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
-  }
+  add_count(shard.counters, name, delta);
+}
+
+void MetricsRegistry::scheduling_add(std::string_view name,
+                                     std::uint64_t delta) {
+  Shard& shard = local_shard();
+  MutexLock lock(shard.m);
+  add_count(shard.scheduling, name, delta);
 }
 
 void MetricsRegistry::gauge_set(std::string_view name, double value) {
@@ -203,6 +220,10 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     for (const auto& [name, value] : shard->counters) {
       out.counters[name] += value;
     }
+    // NOLINT-ACDN(unordered-iter): += into name-sorted map, commutative
+    for (const auto& [name, value] : shard->scheduling) {
+      out.scheduling[name] += value;
+    }
     // NOLINT-ACDN(unordered-iter): count-weighted fold is shard-symmetric
     for (const auto& [name, hist] : shard->histograms) {
       fold_histogram(out.histograms[name], hist);
@@ -218,6 +239,7 @@ void MetricsRegistry::reset() {
   for (const auto& shard : central_->shards) {
     MutexLock shard_lock(shard->m);
     shard->counters.clear();
+    shard->scheduling.clear();
     shard->histograms.clear();
   }
 }

@@ -1,9 +1,12 @@
 // Process-wide metrics registry: the observability substrate every layer
 // reports through.
 //
-// Three metric kinds, all name-addressed:
+// Four metric kinds, all name-addressed:
 //   * counters    — monotonically increasing integer totals (exact across
 //                   threads: per-thread shards sum on snapshot);
+//   * scheduling  — counters of how the executor's threads happened to
+//                   interleave (work steals): summed like counters, but
+//                   kept apart because no rerun has to reproduce them;
 //   * gauges      — last-written double values (sizes, thread counts);
 //   * histograms  — streaming latency/size distributions: count, sum,
 //                   min, max plus P² p50/p75/p95/p99 (stats/p2.h), one
@@ -22,10 +25,10 @@
 // shard-and-fold idiom: hot paths never share a cache line, snapshot()
 // folds shards into deterministically (name-)ordered maps.
 //
-// Wall-clock timings are observability, not simulation state: they are
-// excluded from the determinism contract (everything else in a snapshot —
-// counters, gauges, histogram counts — is reproducible for a fixed
-// scenario; see tests/metrics_test.cpp).
+// Wall-clock timings and scheduling counts are observability, not
+// simulation state: they are excluded from the determinism contract
+// (everything else in a snapshot — counters, gauges, histogram counts — is
+// reproducible for a fixed scenario; see tests/metrics_test.cpp).
 #pragma once
 
 #include <atomic>
@@ -84,11 +87,14 @@ struct MetricsSnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, HistogramStats> histograms;
+  /// Thread-interleaving counts; outside the determinism contract, like
+  /// `phases`.
+  std::map<std::string, std::uint64_t> scheduling;
   std::map<std::string, PhaseStats> phases;
 
   [[nodiscard]] bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty() &&
-           phases.empty();
+           scheduling.empty() && phases.empty();
   }
 };
 
@@ -103,6 +109,9 @@ class MetricsRegistry {
 
   /// Adds `delta` to the named counter (this thread's shard).
   void counter_add(std::string_view name, std::uint64_t delta = 1);
+
+  /// Adds `delta` to the named scheduling counter (this thread's shard).
+  void scheduling_add(std::string_view name, std::uint64_t delta = 1);
 
   /// Sets the named gauge. Last write wins across threads.
   void gauge_set(std::string_view name, double value);
@@ -140,6 +149,12 @@ class MetricsRegistry {
 
 inline void metric_count(std::string_view name, std::uint64_t delta = 1) {
   if (metrics_enabled()) MetricsRegistry::global().counter_add(name, delta);
+}
+
+/// For counts that depend on thread interleaving, not on the simulation.
+inline void metric_count_scheduling(std::string_view name,
+                                    std::uint64_t delta = 1) {
+  if (metrics_enabled()) MetricsRegistry::global().scheduling_add(name, delta);
 }
 
 inline void metric_gauge(std::string_view name, double value) {

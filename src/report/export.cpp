@@ -1,9 +1,11 @@
 #include "report/export.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/csv.h"
@@ -34,12 +36,38 @@ double parse_double(const std::string& s) {
   }
 }
 
+/// Integer fields below this are written as the to_chars text of a
+/// double, which holds them exactly (pinned output digests hold this
+/// form); from here on as exact digits, because a double no longer holds
+/// every integer.
+constexpr std::uint64_t kDoubleFormLimit = std::uint64_t(1) << 53;
+
+char* format_integer(char* out, std::uint64_t v) {
+  if (v < kDoubleFormLimit) return CsvWriter::format_number(out, double(v));
+  return std::to_chars(out, out + CsvWriter::kMaxNumberChars, v).ptr;
+}
+
+/// Reads an integer field in either form format_integer writes: plain
+/// digits, or the shortest to_chars text of a finite, integral double
+/// below 2^53. So "7.036928e+13" reads as 70369280000000, while "1.5" and
+/// "7.0369280000000001e+13" (which only rounds to an integer) are
+/// rejected.
 std::uint64_t parse_u64(const std::string& s) {
+  const char* const begin = s.data();
+  const char* const end = begin + s.size();
   std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  require(ec == std::errc{} && ptr == s.data() + s.size(),
-          "export: malformed integer field '" + s + "'");
-  return v;
+  const auto [ptr, ec] = std::from_chars(begin, end, v);
+  if (ec == std::errc{} && ptr == end) return v;
+  double d = 0.0;
+  const auto [dptr, dec] = std::from_chars(begin, end, d);
+  bool exact = dec == std::errc{} && dptr == end && d >= 0.0 &&
+               d < double(kDoubleFormLimit) && d == std::floor(d);
+  if (exact) {
+    char text[CsvWriter::kMaxNumberChars];
+    exact = std::string_view(text, CsvWriter::format_number(text, d)) == s;
+  }
+  require(exact, "export: malformed integer field '" + s + "'");
+  return static_cast<std::uint64_t>(d);
 }
 
 std::ifstream open_or_throw(const std::string& path) {
@@ -90,22 +118,28 @@ void export_measurements(const MeasurementStore& store,
   CsvWriter csv(path);
   csv.write_header({"beacon_id", "day", "hour", "client", "ldns", "anycast",
                     "front_end", "rtt_ms"});
+  // A beacon's five shared fields are formatted once; each of its target
+  // rows repeats that text.
+  char leading[5 * (CsvWriter::kMaxNumberChars + 1)];
   for (DayIndex d = 0; d < store.days(); ++d) {
     const MeasurementColumns& cols = store.columns(d);
     for (std::size_t i = 0; i < cols.size(); ++i) {
+      char* p = format_integer(leading, cols.beacon_id[i]);
+      for (const double v : {double(cols.day[i]), cols.hour[i],
+                             double(cols.client[i].value),
+                             double(cols.ldns[i].value)}) {
+        *p++ = ',';
+        p = CsvWriter::format_number(p, v);
+      }
+      const std::string_view beacon(leading, std::size_t(p - leading));
       for (std::size_t t = cols.row_targets_begin(i);
            t < cols.row_targets_end(i); ++t) {
         const bool anycast = cols.target_anycast[t] != 0;
-        const double row[] = {
-            double(cols.beacon_id[i]),
-            double(cols.day[i]),
-            cols.hour[i],
-            double(cols.client[i].value),
-            double(cols.ldns[i].value),
+        const double target[] = {
             anycast ? 1.0 : 0.0,
             anycast ? 0.0 : double(cols.target_front_end[t]),
             cols.target_rtt[t]};
-        csv.write_row(row);
+        csv.write_row(beacon, target);
       }
     }
   }

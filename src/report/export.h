@@ -3,8 +3,12 @@
 // The simulation's products — passive production logs and joined beacon
 // measurements — exported as CSV so downstream users can analyze them in
 // other tooling, and imported back so recorded runs can be re-analyzed
-// without re-simulating. Round-trips are exact for the integer fields and
-// round-trip-precise for doubles.
+// without re-simulating. Doubles are written in their shortest round-trip
+// text, so they re-import bit-identical. Integer fields (ids, days, front
+// ends) are written as that same double text below 2^53 — which can be
+// scientific, e.g. beacon 70369280000000 as 7.036928e+13 — and as exact
+// digits from 2^53 on, where a double no longer holds every integer. The
+// importers read both forms, so every integer field round-trips exactly.
 #pragma once
 
 #include <string>

@@ -218,6 +218,12 @@ void write_run_manifest(const RunManifest& manifest,
                    ", \"p99\": " + json_number(h.p99) + "}" +
                    (comma ? "," : ""));
       });
+  write_object_map(w, 1, "scheduling", m.scheduling, true,
+                   [&](int ind, const std::string& name, std::uint64_t v,
+                       bool comma) {
+                     w.line(ind, quoted(name) + ": " + std::to_string(v) +
+                                     (comma ? "," : ""));
+                   });
   write_object_map(
       w, 1, "phases", m.phases, false,
       [&](int ind, const std::string& name, const PhaseStats& p,
@@ -261,6 +267,13 @@ std::string format_metrics_table(const MetricsSnapshot& snapshot) {
       row("  %-36s %10llu %12.3f %10.3f %10.3f %10.3f %10.3f\n",
           name.c_str(), static_cast<unsigned long long>(h.count), h.mean(),
           h.p50, h.p75, h.p95, h.p99);
+    }
+  }
+  if (!snapshot.scheduling.empty()) {
+    out += "-- scheduling --\n";
+    for (const auto& [name, v] : snapshot.scheduling) {
+      row("  %-36s %14llu\n", name.c_str(),
+          static_cast<unsigned long long>(v));
     }
   }
   if (!snapshot.phases.empty()) {

@@ -5,8 +5,8 @@
 //
 // The manifest is the machine-readable face of the observability layer: a
 // rerun with the same config digest and seed must reproduce every counter
-// in it exactly (wall-clock histograms and phase timings excepted — those
-// are environment, not simulation).
+// in it exactly (wall-clock histograms, scheduling counts and phase
+// timings excepted — those are environment, not simulation).
 #pragma once
 
 #include <cstdint>
@@ -69,8 +69,8 @@ void write_run_manifest(const RunManifest& manifest,
                         const std::string& path);
 
 /// Renders a snapshot as a human-readable summary table (the --metrics
-/// output of run_scenario): counters, gauges, histogram quantiles and
-/// phase timings, each section name-sorted.
+/// output of run_scenario): counters, gauges, histogram quantiles,
+/// scheduling counts and phase timings, each section name-sorted.
 [[nodiscard]] std::string format_metrics_table(
     const MetricsSnapshot& snapshot);
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/csv.h"
 #include "common/error.h"
 #include "common/failpoint.h"
 #include "analysis/figures.h"
@@ -268,6 +269,207 @@ TEST(GoldenFigures, ArmedAtZeroProbabilityIsByteIdenticalToDisarmed) {
   EXPECT_EQ(fnv1a64(fig03_csv(3, zero)), 0xde0b818736d362f4ull);
   EXPECT_EQ(fnv1a64(fig09_csv(3, zero)), 0x58a16c56097e98caull);
   FailPointRegistry::global().disarm();
+}
+
+// ------------------------------------------------------ output byte identity
+//
+// The exporters, the figure row walk and the writer's buffer spills are
+// pinned byte for byte: a faster output path must write the same files.
+
+TEST(Export, ExportDigestsArePinned) {
+  World world(ScenarioConfig::small_test());
+  Simulation sim(world);
+  sim.run_days(3);
+  const std::string measurements = temp_path("acdn_pinned_measurements.csv");
+  const std::string passive = temp_path("acdn_pinned_passive.csv");
+  export_measurements(sim.measurements(), measurements);
+  export_passive_log(sim.passive(), passive);
+  EXPECT_EQ(fnv1a64(slurp(measurements)), 0x5ea33b42537c9a87ull);
+  EXPECT_EQ(fnv1a64(slurp(passive)), 0xe3af461926177159ull);
+  std::remove(measurements.c_str());
+  std::remove(passive.c_str());
+}
+
+/// Unsorted points, duplicate x values and a series that starts after the
+/// first union x: every cell is sample_series at the row's x.
+Figure walk_figure() {
+  Figure figure("walk", "x", "y");
+  figure.add_series(
+      Series{"unsorted", {{3, 0.3}, {1, 0.1}, {2, 0.2}, {2, 0.25}, {5, 0.5}}});
+  figure.add_series(Series{"late", {{4, 1.0}, {6, 2.0}}});
+  figure.add_series(Series{"dups", {{1, 0.5}, {1, 0.6}, {6, 0.9}}});
+  return figure;
+}
+
+TEST(Export, FigureCsvStepSamplesUnsortedSeries) {
+  const Figure figure = walk_figure();
+  const std::string csv = render_csv(figure, "acdn_walk.csv");
+  EXPECT_EQ(csv,
+            "x,unsorted,late,dups\n"
+            "1,0,0,0.6\n"
+            "2,0,0,0.6\n"
+            "3,0.25,0,0.6\n"
+            "4,0.25,1,0.6\n"
+            "5,0.5,1,0.6\n"
+            "6,0.5,2,0.9\n");
+  std::istringstream rows(csv);
+  std::string line;
+  std::getline(rows, line);  // header
+  while (std::getline(rows, line)) {
+    std::istringstream cells(line);
+    std::string cell;
+    std::getline(cells, cell, ',');
+    const double x = std::stod(cell);
+    for (const Series& s : figure.series()) {
+      std::getline(cells, cell, ',');
+      EXPECT_EQ(std::stod(cell), sample_series(s, x)) << s.name << " @" << x;
+    }
+  }
+}
+
+TEST(Export, FigureTableStepSamplesUnsortedSeries) {
+  ::testing::internal::CaptureStdout();
+  walk_figure().print_table();
+  EXPECT_EQ(fnv1a64(::testing::internal::GetCapturedStdout()),
+            0xea7bbe94082345d6ull);
+}
+
+TEST(Export, CsvRowLargerThanOneSpill) {
+  // A quoted 3 MiB field, with quotes and separators at its ends and near
+  // its 1 MiB marks, overruns the writer's buffer several times in one
+  // row.
+  std::string big(std::size_t(3) << 20, 'a');
+  for (std::size_t at : {std::size_t(0), (std::size_t(1) << 20) - 1,
+                         std::size_t(1) << 20, (std::size_t(2) << 20) + 7,
+                         big.size() - 1}) {
+    big[at] = at % 2 == 0 ? '"' : ',';
+  }
+  std::string escaped;
+  for (char c : big) {
+    if (c == '"') escaped += '"';
+    escaped += c;
+  }
+  const std::string path = temp_path("acdn_big_row.csv");
+  {
+    CsvWriter csv(path);
+    csv.write_header({"h1", "h2"});
+    const std::vector<std::string> row{"head", big, "tail"};
+    csv.write_row(row);
+    const double tail[] = {1.5, -2.0};
+    csv.write_row(tail);
+    csv.flush();
+  }
+  EXPECT_EQ(slurp(path), "h1,h2\nhead,\"" + escaped + "\",tail\n1.5,-2\n");
+  std::remove(path.c_str());
+}
+
+TEST(Export, CsvDestructorWritesUnflushedTail) {
+  // Several buffers' worth of rows and no flush(): the destructor must
+  // still write out whatever is buffered.
+  const std::string path = temp_path("acdn_unflushed.csv");
+  {
+    CsvWriter csv(path);
+    for (int i = 0; i < 200000; ++i) {
+      const double row[] = {double(i), i * 0.1, -1.0 / (i + 1)};
+      csv.write_row(row);
+    }
+  }
+  const std::string bytes = slurp(path);
+  EXPECT_GT(bytes.size(), std::size_t(4) << 20);
+  EXPECT_EQ(fnv1a64(bytes), 0xc4ae9f05e6a705c2ull);
+  std::remove(path.c_str());
+}
+
+TEST(Export, CsvDiskFullSurfacesFromSpillBeforeFlush) {
+  // /dev/full opens fine and fails every write with ENOSPC. Far more than
+  // one buffer of rows: the failure must surface from a write_row spill,
+  // with flush() never reached.
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  CsvWriter csv("/dev/full");
+  const auto write_rows = [&csv] {
+    const double row[] = {1.0, 2.0, 3.0};
+    for (int i = 0; i < 1000000; ++i) csv.write_row(row);
+  };
+  EXPECT_THROW(write_rows(), Error);
+}
+
+// ------------------------------------------------------- integer id fields
+
+std::uint64_t day_one_id_of_client_511() {
+  return (std::uint64_t(1) << 46) + 511 * (std::uint64_t(1) << 20);
+}
+
+TEST(Export, ImportAcceptsDoubleFormIds) {
+  // 2^46 + 511 * 2^20 = 70369280000000: to_chars(double) spells it
+  // 7.036928e+13, and the pinned digests keep that spelling.
+  MeasurementStore store;
+  BeaconMeasurement m =
+      testfx::make_measurement(511, 3, 1, 20.0, {{4, 31.5}});
+  m.beacon_id = day_one_id_of_client_511();
+  store.add(m);
+  const std::string path = temp_path("acdn_double_form_id.csv");
+  export_measurements(store, path);
+  EXPECT_NE(slurp(path).find("\n7.036928e+13,1,"), std::string::npos);
+
+  const MeasurementStore restored = import_measurements(path);
+  ASSERT_EQ(restored.total(), 1u);
+  const auto day = restored.by_day(1);
+  ASSERT_EQ(day.size(), 1u);
+  EXPECT_EQ(day[0].beacon_id, day_one_id_of_client_511());
+  EXPECT_EQ(day[0].client, ClientId(511));
+  EXPECT_EQ(day[0].targets.size(), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(Export, IdsPastTwoToThe53ExportAsExactDigits) {
+  // Day-130 ids exceed 2^53. A double holds only every other one of
+  // these, so they go out as digits: two adjacent ids stay two beacons.
+  const std::uint64_t base = (std::uint64_t(130) << 46) + 12344;
+  ASSERT_EQ(base, 9147936743108664ull);
+  MeasurementStore store;
+  for (std::uint64_t id : {base, base + 1}) {
+    BeaconMeasurement m = testfx::make_measurement(
+        0, 1, 130, 10.0 + double(id - base), {{2, 40.0}});
+    m.beacon_id = id;
+    store.add(m);
+  }
+  const std::string path = temp_path("acdn_exact_ids.csv");
+  export_measurements(store, path);
+  const std::string bytes = slurp(path);
+  EXPECT_NE(bytes.find("\n9147936743108664,130,"), std::string::npos);
+  EXPECT_NE(bytes.find("\n9147936743108665,130,"), std::string::npos);
+
+  const MeasurementStore restored = import_measurements(path);
+  const auto day = restored.by_day(130);
+  ASSERT_EQ(day.size(), 2u);
+  EXPECT_EQ(day[0].beacon_id, base);
+  EXPECT_EQ(day[1].beacon_id, base + 1);
+  EXPECT_EQ(day[0].targets.size(), 2u);
+  EXPECT_EQ(day[1].targets.size(), 2u);
+  EXPECT_EQ(day[1].targets[0].rtt_ms, 11.0);
+  std::remove(path.c_str());
+}
+
+TEST(Export, ImportRejectsInexactIntegerFields) {
+  const std::string path = temp_path("acdn_bad_ints.csv");
+  for (const char* client :
+       {"1.5", "-1", "1e300", "inf", "nan", "7.0369280000000001e+13",
+        "1.8014398509481984e+16", "0x10", ""}) {
+    {
+      std::ofstream out(path);
+      out << "day,client,front_end,queries\n0," << client << ",2,4\n";
+    }
+    EXPECT_THROW((void)import_passive_log(path), Error) << client;
+  }
+  {
+    std::ofstream out(path);
+    out << "day,client,front_end,queries\n0,1e+05,2,4\n";
+  }
+  const PassiveLog log = import_passive_log(path);
+  ASSERT_EQ(log.total(), 1u);
+  EXPECT_EQ(log.by_day(0)[0].client, ClientId(100000));
+  std::remove(path.c_str());
 }
 
 TEST(Export, ImportRejectsMalformedInput) {

@@ -147,6 +147,20 @@ TEST_F(MetricsTest, ResetClearsEverything) {
   EXPECT_TRUE(MetricsRegistry::global().snapshot().empty());
 }
 
+TEST_F(MetricsTest, SchedulingCountsStayOutOfCounters) {
+  metric_count_scheduling("test.sched", 3);
+  metric_count_scheduling("test.sched");
+  // Stealing depends on thread interleaving, so the executor records its
+  // steals as scheduling counts, never as counters.
+  Executor::global().parallel_for(0, 5000, 4, [](std::size_t) {});
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  EXPECT_EQ(snap.scheduling.at("test.sched"), 4u);
+  EXPECT_EQ(snap.counters.count("test.sched"), 0u);
+  EXPECT_EQ(snap.counters.count("executor.steals"), 0u);
+  MetricsRegistry::global().reset();
+  EXPECT_TRUE(MetricsRegistry::global().snapshot().scheduling.empty());
+}
+
 TEST_F(MetricsTest, CountsAreReproducibleAcrossRuns) {
   // The determinism contract for everything but wall-clock: identical
   // work produces identical counter values on a fresh registry.

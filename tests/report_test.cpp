@@ -113,6 +113,7 @@ RunManifest sample_manifest() {
   h.max = 3.0;
   h.p50 = 2.0;
   m.metrics.histograms["sim.day_ms"] = h;
+  m.metrics.scheduling["executor.steals"] = 17;
   m.metrics.phases["sim.day/join"] = PhaseStats{3, 1.5, 0.6};
   return m;
 }
@@ -134,6 +135,8 @@ TEST(RunManifest, WritesWellFormedJson) {
   EXPECT_NE(text.find("\"sim.beacons\": 1711"), std::string::npos);
   EXPECT_NE(text.find("\"out_b.csv\""), std::string::npos);
   EXPECT_NE(text.find("\"sim.day/join\""), std::string::npos);
+  EXPECT_NE(text.find("\"scheduling\": {\n    \"executor.steals\": 17\n  },"),
+            std::string::npos);
   const auto opens = std::count(text.begin(), text.end(), '{');
   const auto closes = std::count(text.begin(), text.end(), '}');
   EXPECT_EQ(opens, closes);
@@ -151,6 +154,8 @@ TEST(RunManifest, TableRendersEverySection) {
   EXPECT_NE(table.find("sim.beacons"), std::string::npos);
   EXPECT_NE(table.find("gauges"), std::string::npos);
   EXPECT_NE(table.find("histograms"), std::string::npos);
+  EXPECT_NE(table.find("scheduling"), std::string::npos);
+  EXPECT_NE(table.find("executor.steals"), std::string::npos);
   EXPECT_NE(table.find("phases"), std::string::npos);
   EXPECT_NE(table.find("sim.day/join"), std::string::npos);
   EXPECT_EQ(format_metrics_table(MetricsSnapshot{}),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.h"
@@ -103,11 +104,15 @@ TEST(P2Quantile, ValueWithoutSamplesThrows) {
 
 // Property sweep: the P2 estimate must track the exact quantile within a
 // few percent of the distribution's scale for several (q, distribution)
-// combinations.
+// combinations. The test names print the raw bytes of P2Case, so it must
+// have no padding: padding bytes are indeterminate and would make the names
+// differ between builds.
 struct P2Case {
   double q;
-  int distribution;  // 0 uniform, 1 lognormal, 2 exponential
+  std::int64_t distribution;  // 0 uniform, 1 lognormal, 2 exponential
 };
+static_assert(sizeof(P2Case) == sizeof(double) + sizeof(std::int64_t),
+              "P2Case must have no padding bytes");
 
 class P2Accuracy : public ::testing::TestWithParam<P2Case> {};
 
