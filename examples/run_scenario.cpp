@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   // --- Console summary.
   std::size_t beacons = 0;
   for (DayIndex d = 0; d < flags.days; ++d) {
-    beacons += sim.measurements().by_day(d).size();
+    beacons += sim.measurements().columns(d).size();
   }
   std::printf("world: %zu ASes, %zu front-ends, %zu client /24s\n",
               world.graph().as_count(), world.cdn().deployment().size(),
@@ -189,14 +189,14 @@ int main(int argc, char** argv) {
     const auto day = sim.measurements().by_day(d);
     all.insert(all.end(), day.begin(), day.end());
   }
-  const DistributionBuilder diff =
-      fig3_anycast_minus_best_unicast(all, world.clients(), std::nullopt);
+  const DistributionBuilder diff = fig3_anycast_minus_best_unicast(
+      all, world.clients(), std::nullopt, flags.threads);
   std::printf("anycast >=25ms slower than best unicast: %.1f%% of requests\n",
               100.0 * (1.0 - diff.fraction_at_most(25.0)));
 
   // Operator view: the busiest anycast catchments.
   auto catchments = compute_catchments(world.clients(), world.router(),
-                                       world.metros());
+                                       world.metros(), flags.threads);
   std::sort(catchments.begin(), catchments.end(),
             [](const CatchmentSummary& a, const CatchmentSummary& b) {
               return a.query_share > b.query_share;
@@ -264,14 +264,15 @@ int main(int argc, char** argv) {
   const Fig4Distances d4 =
       fig4_distances(sim.passive(), 0, world.clients(),
                      world.cdn().deployment(), world.metros(),
-                     &world.geolocation());
+                     &world.geolocation(), flags.threads);
   Figure fig4("client to front-end distance", "km", "cdf");
   fig4.add_series(Series{"to_front_end", d4.to_front_end.cdf()});
   fig4.add_series(Series{"past_closest", d4.past_closest.cdf()});
   write_output(flags.csv_prefix + "distance.csv",
                [&](const std::string& p) { fig4.write_csv(p); });
 
-  const auto switched = fig7_cumulative_switched(sim.passive(), flags.days);
+  const auto switched =
+      fig7_cumulative_switched(sim.passive(), flags.days, flags.threads);
   Figure fig7("front-end affinity", "day", "cumulative switched");
   Series s7{"switched", {}};
   for (std::size_t i = 0; i < switched.size(); ++i) {

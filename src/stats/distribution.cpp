@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 
@@ -71,16 +72,40 @@ std::vector<DistPoint> DistributionBuilder::ccdf() const {
 std::vector<DistPoint> DistributionBuilder::cdf_at(
     std::span<const double> xs) const {
   std::vector<DistPoint> out;
+  if (xs.empty()) return out;
+  require(!samples_.empty(), "cdf_at of empty distribution");
+  ensure_sorted();
+  const double total = total_weight();
+  require(total > 0.0, "distribution needs positive total weight");
   out.reserve(xs.size());
-  for (double x : xs) out.push_back({x, fraction_at_most(x)});
+  // One forward cursor. fraction_at_most(x) takes the samples before the
+  // first value > x, and that prefix only grows while x does not
+  // decrease. Any other step (a smaller x, or a NaN on either side)
+  // restarts from the first sample. Either way `cum` is the same prefix
+  // sum in the same order, so each y is bit-identical to
+  // fraction_at_most(x).
+  std::size_t next = 0;
+  double cum = 0.0;
+  double prev = -std::numeric_limits<double>::infinity();
+  for (double x : xs) {
+    if (!(x >= prev)) {
+      next = 0;
+      cum = 0.0;
+    }
+    while (next < samples_.size() && !(samples_[next].value > x)) {
+      cum += samples_[next].weight;
+      ++next;
+    }
+    out.push_back({x, cum / total});
+    prev = x;
+  }
   return out;
 }
 
 std::vector<DistPoint> DistributionBuilder::ccdf_at(
     std::span<const double> xs) const {
-  std::vector<DistPoint> out;
-  out.reserve(xs.size());
-  for (double x : xs) out.push_back({x, 1.0 - fraction_at_most(x)});
+  std::vector<DistPoint> out = cdf_at(xs);
+  for (DistPoint& p : out) p.y = 1.0 - p.y;
   return out;
 }
 

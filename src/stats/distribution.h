@@ -39,10 +39,18 @@ class DistributionBuilder {
   [[nodiscard]] std::vector<DistPoint> ccdf() const;
 
   /// CDF evaluated at caller-chosen x positions (for fixed figure axes).
+  /// Sorts once and walks the sorted samples once with a forward cursor:
+  /// linear in samples plus grid points for an ascending grid. Any grid
+  /// order is accepted (a point below its predecessor, or a NaN, restarts
+  /// the walk). Each y is bit-identical to fraction_at_most(x) — the
+  /// cursor adds the same weights in the same order — and ccdf_at's is
+  /// 1.0 minus that. An empty grid returns an empty vector; otherwise an
+  /// empty builder or zero total weight throws ConfigError.
   [[nodiscard]] std::vector<DistPoint> cdf_at(std::span<const double> xs) const;
   [[nodiscard]] std::vector<DistPoint> ccdf_at(std::span<const double> xs) const;
 
-  /// Fraction of weight with value <= x.
+  /// Fraction of weight with value <= x. One full walk per call; the
+  /// reference cdf_at is tested against.
   [[nodiscard]] double fraction_at_most(double x) const;
   /// Fraction of weight with value >= x.
   [[nodiscard]] double fraction_at_least(double x) const;

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "analysis/figures.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "sim/simulation.h"
+#include "sim/world.h"
 #include "stats/distribution.h"
 #include "stats/p2.h"
 #include "stats/quantile.h"
@@ -198,6 +205,116 @@ TEST(Distribution, CdfAtFixedAxis) {
   EXPECT_NEAR(pts[1].y, 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(pts[2].y, 2.0 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(pts[3].y, 1.0);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// cdf_at / ccdf_at against the per-point reference, bit for bit.
+void expect_grid_matches_reference(const DistributionBuilder& b,
+                                   std::span<const double> xs) {
+  const std::vector<DistPoint> cdf = b.cdf_at(xs);
+  const std::vector<DistPoint> ccdf = b.ccdf_at(xs);
+  ASSERT_EQ(cdf.size(), xs.size());
+  ASSERT_EQ(ccdf.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double ref = b.fraction_at_most(xs[i]);
+    ASSERT_EQ(bits(cdf[i].x), bits(xs[i])) << "point " << i;
+    ASSERT_EQ(bits(ccdf[i].x), bits(xs[i])) << "point " << i;
+    ASSERT_EQ(bits(cdf[i].y), bits(ref)) << "point " << i << " x=" << xs[i];
+    ASSERT_EQ(bits(ccdf[i].y), bits(1.0 - ref))
+        << "point " << i << " x=" << xs[i];
+  }
+}
+
+TEST(Distribution, CdfAtMatchesPointwiseReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(0xcdfa7ull);
+  // Values on a coarse lattice so samples tie with each other and with
+  // grid points; weights mix units, zeros and fractions so the prefix
+  // sums round differently depending on the order they are added in.
+  auto lattice = [&rng] { return 0.5 * rng.uniform_int(-40, 40); };
+  for (int round = 0; round < 60; ++round) {
+    DistributionBuilder b;
+    const int n = rng.uniform_int(1, 400);
+    for (int i = 0; i < n; ++i) {
+      double value = lattice();
+      const double pick = rng.uniform();
+      if (pick < 0.03) value = -kInf;
+      if (pick > 0.97) value = kInf;
+      const int kind = rng.uniform_int(0, 3);
+      const double weight = kind == 0   ? 1.0
+                            : kind == 1 ? 0.0
+                                        : rng.uniform(0.0, 3.0);
+      b.add(value, weight);
+    }
+    b.add(lattice(), 1.0);  // positive total weight
+
+    std::vector<double> ascending;
+    for (int i = -84; i <= 84; ++i) ascending.push_back(0.25 * i);
+    ascending.insert(ascending.begin(), -kInf);
+    ascending.push_back(kInf);
+    std::vector<double> descending(ascending.rbegin(), ascending.rend());
+    std::vector<double> unsorted;
+    for (int i = 0; i < 200; ++i) {
+      const double pick = rng.uniform();
+      unsorted.push_back(pick < 0.05   ? kNaN
+                         : pick < 0.08 ? kInf
+                         : pick < 0.11 ? -kInf
+                         : pick < 0.5  ? lattice()
+                                       : rng.uniform(-22.0, 22.0));
+    }
+    // Ascending with duplicates and NaN/inf points spliced in.
+    std::vector<double> spliced = ascending;
+    for (int i = 0; i < 20; ++i) {
+      const std::size_t at = rng.uniform_index(spliced.size());
+      const double point = i % 4 == 0   ? kNaN
+                           : i % 4 == 1 ? spliced[at]
+                           : i % 4 == 2 ? kInf
+                                        : -kInf;
+      spliced.insert(spliced.begin() + static_cast<std::ptrdiff_t>(at), point);
+    }
+    expect_grid_matches_reference(b, ascending);
+    expect_grid_matches_reference(b, descending);
+    expect_grid_matches_reference(b, unsorted);
+    expect_grid_matches_reference(b, spliced);
+  }
+}
+
+TEST(Distribution, CdfAtEdgeContract) {
+  const double xs[] = {0.0, 1.0};
+  DistributionBuilder empty;
+  EXPECT_TRUE(empty.cdf_at({}).empty());
+  EXPECT_TRUE(empty.ccdf_at({}).empty());
+  EXPECT_THROW((void)empty.cdf_at(xs), ConfigError);
+  EXPECT_THROW((void)empty.ccdf_at(xs), ConfigError);
+
+  DistributionBuilder weightless;
+  weightless.add(0.5, 0.0);
+  weightless.add(1.5, 0.0);
+  EXPECT_TRUE(weightless.cdf_at({}).empty());
+  EXPECT_THROW((void)weightless.cdf_at(xs), ConfigError);
+  EXPECT_THROW((void)weightless.ccdf_at(xs), ConfigError);
+}
+
+TEST(Distribution, Fig3GridMatchesPointwiseReference) {
+  World world(ScenarioConfig::small_test());
+  Simulation sim(world);
+  sim.run_days(2);
+  std::vector<BeaconMeasurement> all;
+  for (DayIndex d = 0; d < 2; ++d) {
+    const auto day = sim.measurements().by_day(d);
+    all.insert(all.end(), day.begin(), day.end());
+  }
+  std::vector<double> xs;
+  for (int x = 0; x <= 300; ++x) xs.push_back(double(x));
+  for (const std::optional<Region> region :
+       {std::optional<Region>{}, std::optional<Region>{Region::kEurope}}) {
+    const DistributionBuilder diff =
+        fig3_anycast_minus_best_unicast(all, world.clients(), region);
+    ASSERT_FALSE(diff.empty());
+    expect_grid_matches_reference(diff, xs);
+  }
 }
 
 TEST(Distribution, EmptyThrows) {
