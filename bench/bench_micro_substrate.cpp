@@ -39,6 +39,25 @@ void BM_Haversine(benchmark::State& state) {
 }
 BENCHMARK(BM_Haversine);
 
+// A keyed substream as the day kernel uses one per client-day, activity
+// roll and geolocation estimate: seed an Rng from a fresh key, then take
+// D draws. Seeding dominates at small D.
+void BM_RngKeyedSubstream(benchmark::State& state) {
+  const auto draws = static_cast<int>(state.range(0));
+  std::uint64_t key = 0;
+  for (auto _ : state) {
+    Rng rng(++key * 0x9e3779b97f4a7c15ull);
+    for (int d = 0; d < draws; ++d) benchmark::DoNotOptimize(rng.next_u64());
+  }
+}
+BENCHMARK(BM_RngKeyedSubstream)->Arg(1)->Arg(8)->Arg(64)->Arg(400);
+
+void BM_RngWarmDraw(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.next_u64());
+}
+BENCHMARK(BM_RngWarmDraw);
+
 void BM_RadixTrieLongestMatch(benchmark::State& state) {
   RadixTrie<int> trie;
   PrefixAllocator alloc = PrefixAllocator::client_pool();

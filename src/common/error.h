@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace acdn {
 
@@ -28,8 +29,9 @@ class NotFoundError : public Error {
 };
 
 /// Throws ConfigError if `ok` is false. Use for validating scenario knobs.
-inline void require(bool ok, const std::string& message) {
-  if (!ok) throw ConfigError(message);
+/// Takes a view so that a literal message costs no allocation when `ok`.
+inline void require(bool ok, std::string_view message) {
+  if (!ok) throw ConfigError(std::string(message));
 }
 
 }  // namespace acdn
