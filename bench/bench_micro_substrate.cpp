@@ -336,13 +336,30 @@ void BM_ParallelSortCrossover(benchmark::State& state) {
 BENCHMARK(BM_ParallelSortCrossover)
     ->ArgsProduct({{256 << 10, 1 << 20, 2 << 20, 4 << 20}, {1, 4}});
 
-void BM_WorldConstruction(benchmark::State& state) {
+void BM_WorldConstructionSmall(benchmark::State& state) {
   for (auto _ : state) {
     World world(ScenarioConfig::small_test());
     benchmark::DoNotOptimize(world.clients().size());
   }
 }
-BENCHMARK(BM_WorldConstruction)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorldConstructionSmall)->Unit(benchmark::kMillisecond);
+
+/// A paper-scale World at simulation_threads = Arg: the BGP tables and the
+/// beacon precompute fan out over that many lanes; the rest of set-up is
+/// serial.
+void BM_WorldConstruction(benchmark::State& state) {
+  ScenarioConfig config = ScenarioConfig::paper_default();
+  config.simulation_threads = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    World world(config);
+    benchmark::DoNotOptimize(world.clients().size());
+  }
+}
+BENCHMARK(BM_WorldConstruction)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

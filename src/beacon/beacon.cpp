@@ -5,8 +5,10 @@
 
 #include "common/check.h"
 #include "common/error.h"
+#include "common/executor.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/radix.h"
 
 namespace acdn {
 
@@ -29,7 +31,7 @@ BeaconSystem::BeaconSystem(const CdnRouter& router,
                            const LdnsPopulation& ldns,
                            const GeolocationModel& geolocation,
                            const RttModel& rtt, const TimingModel& timing,
-                           const BeaconConfig& config)
+                           const BeaconConfig& config, int threads)
     : router_(&router),
       metros_(&metros),
       clients_(&clients),
@@ -46,16 +48,21 @@ BeaconSystem::BeaconSystem(const CdnRouter& router,
           "targets_per_beacon exceeds the url_id fetch-ordinal stride");
 
   // Candidate selection per LDNS (paper §3.3): the N front-ends closest to
-  // the LDNS *according to the geolocation database*.
+  // the LDNS *according to the geolocation database*. Each pool is a pure
+  // function of its server (the estimate is keyed by server id), so the
+  // pools fan out, each into its own slot.
   candidates_.resize(ldns.size());
   const Deployment& deployment = router.cdn().deployment();
-  for (const LdnsServer& server : ldns.servers()) {
-    const GeoPoint estimated = geolocation.estimate(
-        server.location, 0x1000000000ull + server.id.value);
-    candidates_[server.id.value] = deployment.nearest_sites(
-        metros, estimated,
-        static_cast<std::size_t>(config_.candidate_pool));
-  }
+  const std::span<const LdnsServer> servers = ldns.servers();
+  Executor::global().parallel_for(
+      0, servers.size(), threads, [&](std::size_t i) {
+        const LdnsServer& server = servers[i];
+        const GeoPoint estimated = geolocation.estimate(
+            server.location, 0x1000000000ull + server.id.value);
+        candidates_[server.id.value] = deployment.nearest_sites(
+            metros, estimated,
+            static_cast<std::size_t>(config_.candidate_pool));
+      });
 
   // Per-client distance to the metro center, in one batch haversine over
   // coordinate columns (bit-identical per client to the scalar call).
@@ -80,27 +87,50 @@ BeaconSystem::BeaconSystem(const CdnRouter& router,
                        client_local_km_);
   }
 
-  // Pre-resolve the unicast route for every (client unit, pool candidate)
-  // pair a beacon can fetch: the hot path then reads an immutable table
-  // with no locking. Serial and client-ordered, so the
-  // router.unicast_lookups count is deterministic. Clients sharing an
-  // (access AS, metro) unit share resolutions through the keyed map; the
-  // flat per-(client, pool slot) copy is what run_beacon indexes.
+  // Pre-resolve the unicast route of every (client, pool slot) pair a
+  // beacon can fetch, so the hot path reads an immutable table with no
+  // locking. Clients sharing an (access AS, metro) unit share routes: sort
+  // one (route key, slot) pair per slot so equal keys form runs, resolve
+  // each run once on the executor and scatter its route to the run's
+  // slots. A run writes only its own slots and every distinct key is
+  // resolved exactly once, so the table and the router.unicast_lookups
+  // count are the same for any `threads`.
   const std::size_t stride = static_cast<std::size_t>(config_.candidate_pool);
   pool_routes_.resize(clients.size() * stride);
-  for (const Client24& c : clients.clients()) {
-    const std::span<const FrontEndId> pool = candidates_for(c.ldns);
-    for (std::size_t j = 0; j < pool.size(); ++j) {
-      const std::uint64_t key = unicast_key(c.access_as, c.metro, pool[j]);
-      auto it = unicast_warm_.find(key);
-      if (it == unicast_warm_.end()) {
-        it = unicast_warm_
-                 .emplace(key,
-                          router_->route_unicast(c.access_as, c.metro, pool[j]))
-                 .first;
+  ACDN_CHECK_LE(pool_routes_.size(), std::size_t{UINT32_MAX})
+      << "pool slots are packed as 32-bit payloads";
+  {
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> slots;
+    keys.reserve(pool_routes_.size());
+    slots.reserve(pool_routes_.size());
+    for (const Client24& c : clients.clients()) {
+      const std::span<const FrontEndId> pool = candidates_for(c.ldns);
+      for (std::size_t j = 0; j < pool.size(); ++j) {
+        keys.push_back(unicast_key(c.access_as, c.metro, pool[j]));
+        slots.push_back(static_cast<std::uint32_t>(c.id.value * stride + j));
       }
-      pool_routes_[c.id.value * stride + j] = it->second;
     }
+    radix_sort_pairs<std::uint32_t>(keys, slots);
+    std::vector<std::size_t> runs;  // first index of each run, then the end
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (i == 0 || keys[i] != keys[i - 1]) runs.push_back(i);
+    }
+    runs.push_back(keys.size());
+    Executor::global().parallel_for(
+        0, runs.size() - 1, threads, [&](std::size_t r) {
+          // The run's first slot names a client and a pool entry with the
+          // run's key; the route comes from them, not from decoding the key.
+          const std::uint32_t first = slots[runs[r]];
+          const Client24& c = clients.client(
+              ClientId(static_cast<std::uint32_t>(first / stride)));
+          const FrontEndId fe = candidates_for(c.ldns)[first % stride];
+          const RouteResult route =
+              router_->route_unicast(c.access_as, c.metro, fe);
+          for (std::size_t i = runs[r]; i < runs[r + 1]; ++i) {
+            pool_routes_[slots[i]] = route;
+          }
+        });
   }
 
   // Hoist the deterministic base RTT of every (client, pool slot) out of
@@ -133,13 +163,27 @@ std::span<const FrontEndId> BeaconSystem::candidates_for(LdnsId ldns) const {
   return candidates_[ldns.value];
 }
 
-RouteResult BeaconSystem::cached_unicast(AsId as, MetroId metro,
-                                         FrontEndId fe) const {
-  const std::uint64_t key = unicast_key(as, metro, fe);
-  // Lock-free fast path: the warm map is immutable after construction.
-  if (auto it = unicast_warm_.find(key); it != unicast_warm_.end()) {
-    return it->second;
+bool BeaconSystem::routes_from_pool(const Client24& client) const {
+  const auto population = clients_->clients();
+  if (client.id.value >= population.size()) return false;
+  const Client24& own = population[client.id.value];
+  return own.ldns == client.ldns && own.access_as == client.access_as &&
+         own.metro == client.metro;
+}
+
+RouteResult BeaconSystem::unicast_route(const Client24& client,
+                                        FrontEndId fe) const {
+  if (routes_from_pool(client)) {
+    const std::span<const FrontEndId> pool = candidates_for(client.ldns);
+    const auto it = std::find(pool.begin(), pool.end(), fe);
+    if (it != pool.end()) {
+      const std::size_t stride =
+          static_cast<std::size_t>(config_.candidate_pool);
+      return pool_routes_[client.id.value * stride +
+                          static_cast<std::size_t>(it - pool.begin())];
+    }
   }
+  const std::uint64_t key = unicast_key(client.access_as, client.metro, fe);
   {
     ReaderMutexLock lock(unicast_cache_mutex_);
     auto it = unicast_cache_.find(key);
@@ -151,7 +195,8 @@ RouteResult BeaconSystem::cached_unicast(AsId as, MetroId metro,
   WriterMutexLock lock(unicast_cache_mutex_);
   auto it = unicast_cache_.find(key);
   if (it != unicast_cache_.end()) return it->second;
-  const RouteResult result = router_->route_unicast(as, metro, fe);
+  const RouteResult result =
+      router_->route_unicast(client.access_as, client.metro, fe);
   return unicast_cache_.emplace(key, result).first->second;
 }
 
@@ -184,8 +229,7 @@ Milliseconds BeaconSystem::route_rtt_at(const Client24& client,
 
 Milliseconds BeaconSystem::unicast_rtt(const Client24& client, FrontEndId fe,
                                        const SimTime& when, Rng& rng) const {
-  const RouteResult route =
-      cached_unicast(client.access_as, client.metro, fe);
+  const RouteResult route = unicast_route(client, fe);
   require(route.valid, "unicast prefix unreachable from client");
   return route_rtt(client, route, when, rng);
 }
@@ -259,17 +303,12 @@ void BeaconSystem::run_beacon(std::uint64_t beacon_id, const Client24& client,
   }
 
   // The flat route table is keyed by population identity; a synthetic
-  // client (different coordinates under a reused id) falls back to the
-  // keyed cache.
+  // client (different coordinates under a reused id) goes through
+  // unicast_rtt. Location and last-mile must match too: the pooled path
+  // reads a base RTT precomputed from the population row, so any field
+  // feeding it has to be the population's value.
   const auto population = clients_->clients();
-  // Location and last-mile must match too: the pooled path reads a base
-  // RTT precomputed from the population row, so any field feeding it has
-  // to be the population's value.
-  const bool pooled = client.id.value < population.size() &&
-                      population[client.id.value].ldns == client.ldns &&
-                      population[client.id.value].access_as ==
-                          client.access_as &&
-                      population[client.id.value].metro == client.metro &&
+  const bool pooled = routes_from_pool(client) &&
                       population[client.id.value].location ==
                           client.location &&
                       population[client.id.value].last_mile_ms ==

@@ -54,10 +54,14 @@ struct BeaconConfig {
 
 class BeaconSystem {
  public:
+  /// Builds the per-LDNS candidate pools and pre-resolves every
+  /// population client's pool routes, on up to `threads` executor lanes
+  /// (the result is the same for any count).
   BeaconSystem(const CdnRouter& router, const MetroDatabase& metros,
                const ClientPopulation& clients, const LdnsPopulation& ldns,
                const GeolocationModel& geolocation, const RttModel& rtt,
-               const TimingModel& timing, const BeaconConfig& config = {});
+               const TimingModel& timing, const BeaconConfig& config = {},
+               int threads = 1);
 
   /// The ten-ish closest front-ends to `ldns` (geolocated), nearest first.
   [[nodiscard]] std::span<const FrontEndId> candidates_for(LdnsId ldns) const;
@@ -93,7 +97,9 @@ class BeaconSystem {
       const Client24& client, const SimTime& when, Rng& rng) const;
 
   /// True one-sample RTT from `client` to front-end `fe` over the unicast
-  /// route (shared by beacon fetches and the Figure-1 sweep).
+  /// route (shared by beacon fetches and the Figure-1 sweep). A population
+  /// client's own pool candidates read the pre-resolved store; any other
+  /// (client, front-end) resolves once into the overflow cache.
   [[nodiscard]] Milliseconds unicast_rtt(const Client24& client, FrontEndId fe,
                                          const SimTime& when, Rng& rng) const;
 
@@ -105,8 +111,16 @@ class BeaconSystem {
   [[nodiscard]] const BeaconConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] RouteResult cached_unicast(AsId as, MetroId metro,
-                                           FrontEndId fe) const;
+  /// True when `client` matches the population client of its id in LDNS
+  /// (hence candidate pool), access AS and metro: its pool candidates'
+  /// routes are then the ones in pool_routes_.
+  [[nodiscard]] bool routes_from_pool(const Client24& client) const;
+
+  /// The unicast route from `client` to `fe`: from pool_routes_ when
+  /// routes_from_pool holds and `fe` is in the pool, else from the
+  /// overflow cache (resolved on first use).
+  [[nodiscard]] RouteResult unicast_route(const Client24& client,
+                                          FrontEndId fe) const;
 
   /// Hot-path unicast RTT for a population client's pool candidate: the
   /// route comes straight out of pool_routes_. `pool_index` must address
@@ -136,17 +150,13 @@ class BeaconSystem {
   /// beacon of the same /24. Indexed by ClientId.
   std::vector<Kilometers> client_local_km_;
   std::uint64_t next_beacon_id_ = 0;  // convenience-overload counter only
-  /// (access AS, metro, front-end) -> unicast route, pre-resolved at
-  /// construction for every population client x its LDNS candidate pool.
+  /// The pre-resolved unicast route store, indexed
+  /// `client.id * candidate_pool + pool_index`: every population client's
+  /// route to each of its LDNS's candidates, resolved at construction.
   /// Immutable afterwards, so the per-fetch hot path reads it with no
-  /// lock at all. Resolution is deterministic, so memoization is safe.
-  // NOLINT-ACDN(unordered-decl): keyed memo lookups only, never iterated
-  std::unordered_map<std::uint64_t, RouteResult> unicast_warm_;
-  /// The same pre-resolved routes as a flat table indexed
-  /// `client.id * candidate_pool + pool_index`: run_beacon knows each
-  /// unicast target's pool position, so its fetch loop trades the hash
-  /// probe for one array load. Slots past a pool's real candidate count
-  /// stay invalid and are never indexed.
+  /// lock, and run_beacon, knowing each unicast target's pool position,
+  /// indexes it with one array load. Slots past a pool's real candidate
+  /// count stay invalid and are never indexed.
   std::vector<RouteResult> pool_routes_;
   /// Deterministic base RTT per pool_routes_ slot, precomputed with the
   /// batch kernel (RttModel::base_rtt_batch): the base is a pure function
@@ -154,10 +164,12 @@ class BeaconSystem {
   /// the exact same rng stream and bit-identical samples. Slots whose
   /// route is invalid hold 0 and are never read.
   std::vector<Milliseconds> pool_base_ms_;
-  /// Overflow cache for keys outside the pre-warmed set (synthetic
-  /// clients, ad-hoc probes). Guarded for concurrent simulation days —
-  /// the PR 7 double-compute race lived here, and the annotation keeps
-  /// any future unlocked access from compiling on Clang.
+  /// Overflow cache, (access AS, metro, front-end) -> unicast route, for
+  /// what the store does not hold: front-ends outside the client's pool
+  /// (policy_lab's redirection answers, ad-hoc probes) and synthetic
+  /// clients. Guarded for concurrent simulation days — a double-compute
+  /// race once lived here, and the annotation keeps any future unlocked
+  /// access from compiling on Clang.
   mutable SharedMutex unicast_cache_mutex_;
   // NOLINT-ACDN(unordered-decl): keyed memo lookups only, never iterated
   mutable std::unordered_map<std::uint64_t, RouteResult> unicast_cache_

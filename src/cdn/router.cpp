@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "common/executor.h"
 #include "common/metrics.h"
 
 namespace acdn {
@@ -17,18 +18,28 @@ std::vector<MetroId> sorted_copy(std::span<const MetroId> metros) {
 
 }  // namespace
 
-CdnRouter::CdnRouter(const AsGraph& graph, const CdnNetwork& cdn)
+CdnRouter::CdnRouter(const AsGraph& graph, const CdnNetwork& cdn,
+                     int threads)
     : cdn_(&cdn), unfolder_(graph, cdn.as_id()) {
   const BgpSimulator sim(graph, cdn.as_id());
-  anycast_table_ = sim.compute(cdn.anycast_announce_metros());
   anycast_announce_sorted_ = sorted_copy(cdn.anycast_announce_metros());
-  unicast_tables_.reserve(cdn.deployment().size());
-  unicast_announce_sorted_.reserve(cdn.deployment().size());
-  for (const FrontEndSite& s : cdn.deployment().sites()) {
-    unicast_tables_.push_back(sim.compute(cdn.unicast_announce_metros(s.id)));
-    unicast_announce_sorted_.push_back(
-        sorted_copy(cdn.unicast_announce_metros(s.id)));
-  }
+  // One BGP table per prefix, each independent of the others: table 0 is
+  // the anycast prefix, table i + 1 site i's unicast /24. Every table
+  // lands in its own slot, so the result is the same for any `threads`.
+  const std::span<const FrontEndSite> sites = cdn.deployment().sites();
+  unicast_tables_.resize(sites.size());
+  unicast_announce_sorted_.resize(sites.size());
+  Executor::global().parallel_for(
+      0, sites.size() + 1, threads, [&](std::size_t i) {
+        if (i == 0) {
+          anycast_table_ = sim.compute(cdn.anycast_announce_metros());
+          return;
+        }
+        const std::span<const MetroId> announce =
+            cdn.unicast_announce_metros(sites[i - 1].id);
+        unicast_tables_[i - 1] = sim.compute(announce);
+        unicast_announce_sorted_[i - 1] = sorted_copy(announce);
+      });
 }
 
 RouteResult CdnRouter::route_anycast(AsId access, MetroId metro,

@@ -29,8 +29,10 @@ struct RouteResult {
 
 class CdnRouter {
  public:
-  /// Computes the anycast table and one unicast table per front-end.
-  CdnRouter(const AsGraph& graph, const CdnNetwork& cdn);
+  /// Computes the anycast table and one unicast table per front-end, on
+  /// up to `threads` executor lanes (the tables are the same for any
+  /// count).
+  CdnRouter(const AsGraph& graph, const CdnNetwork& cdn, int threads = 1);
 
   /// Anycast route for a client behind `access` in `metro`, using the
   /// access AS's `candidate_index`-th ranked BGP route (0 = best; route

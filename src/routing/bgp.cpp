@@ -25,9 +25,11 @@ const char* to_string(RouteType t) {
 }
 
 std::span<const RouteCandidate> BgpRouteTable::candidates(AsId as_id) const {
-  require(as_id.valid() && as_id.value < candidates_.size(),
+  require(as_id.valid() && std::size_t{as_id.value} + 1 < offsets_.size(),
           "BgpRouteTable: AS id out of range");
-  return candidates_[as_id.value];
+  const std::uint32_t first = offsets_[as_id.value];
+  return std::span<const RouteCandidate>(candidates_)
+      .subspan(first, offsets_[as_id.value + 1] - first);
 }
 
 std::optional<RouteCandidate> BgpRouteTable::best(AsId as_id) const {
@@ -194,10 +196,17 @@ BgpRouteTable BgpSimulator::compute(
   // --- Candidate assembly: what each neighbor would actually export.
   BgpRouteTable table;
   table.cdn_ = cdn_;
-  table.candidates_.resize(n);
+  table.offsets_.reserve(n + 1);
+  table.offsets_.push_back(0);
+  std::vector<RouteCandidate> cands;  // one AS's candidates, reused
   for (const AsNode& node : g.all_as()) {
-    if (node.id == cdn_) continue;
-    std::vector<RouteCandidate>& cands = table.candidates_[node.id.value];
+    ACDN_DCHECK_EQ(std::size_t{node.id.value}, table.offsets_.size() - 1)
+        << "ASes must be stored in id order";
+    if (node.id == cdn_) {  // the origin holds no route to itself
+      table.offsets_.push_back(table.offsets_.back());
+      continue;
+    }
+    cands.clear();
     for (const Neighbor& nb : g.neighbors(node.id)) {
       const bool via_cdn = nb.as == cdn_;
       if (via_cdn && !adjacency_usable(nb.link_index, node.id)) continue;
@@ -233,6 +242,11 @@ BgpRouteTable BgpSimulator::compute(
       ACDN_DCHECK(c.next_hop.valid() && c.next_hop != node.id)
           << "candidate at AS " << node.id.value << " loops or is invalid";
     }
+    table.candidates_.insert(table.candidates_.end(), cands.begin(),
+                             cands.end());
+    ACDN_DCHECK_LE(table.candidates_.size(), std::size_t{UINT32_MAX});
+    table.offsets_.push_back(
+        static_cast<std::uint32_t>(table.candidates_.size()));
   }
   return table;
 }

@@ -13,6 +13,7 @@
 // peering point(s) closest to that front-end (paper §3.1).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -64,7 +65,12 @@ class BgpRouteTable {
  private:
   friend class BgpSimulator;
   AsId cdn_;
-  std::vector<std::vector<RouteCandidate>> candidates_;  // indexed by AsId
+  /// Every AS's candidates, best first, concatenated in AsId order: AS i
+  /// owns [offsets_[i], offsets_[i + 1]). Two blocks per table instead of
+  /// one vector per AS keep a table's allocations few and contiguous,
+  /// whichever thread computes it.
+  std::vector<RouteCandidate> candidates_;
+  std::vector<std::uint32_t> offsets_;  // as_count + 1 entries
 };
 
 class BgpSimulator {

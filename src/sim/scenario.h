@@ -52,9 +52,12 @@ struct ScenarioConfig {
   /// this, BGP candidates are too poor to be realistic next-best picks).
   int max_route_alternatives = 3;
 
-  /// Worker threads for the per-client day loop. Every client draws from
-  /// a (seed, day, client)-keyed RNG substream and outputs merge in client
-  /// order, so results are byte-identical for any thread count.
+  /// Worker threads for World construction (the router's BGP tables and
+  /// the beacon's candidate pools and pool routes) and for the per-client
+  /// day loop. Set-up writes each result into its own slot; in the day
+  /// loop every client draws from a (seed, day, client)-keyed RNG
+  /// substream and outputs merge in client order. Results are
+  /// byte-identical for any thread count.
   int simulation_threads = 1;
 
   /// Full-scale scenario matching the paper's world.

@@ -13,7 +13,11 @@ World::World(const ScenarioConfig& config)
   // (or disarming, for an empty schedule) here means constructing a World
   // fully determines the fault state any later simulation sees.
   FailPointRegistry::global().arm(config_.faults);
+  // Everything that draws from `rng` builds serially, in a fixed draw
+  // order; the router's BGP tables and the beacon's precompute draw
+  // nothing, so they fan out on up to simulation_threads lanes.
   Rng rng(config_.seed);
+  const int threads = config_.simulation_threads;
 
   const MetroDatabase& metro_db = MetroDatabase::world();
   graph_ = std::make_unique<AsGraph>(
@@ -24,7 +28,10 @@ World::World(const ScenarioConfig& config)
       Deployment::make_default(metro_db, config_.deployment, cdn_addresses);
   cdn_ = std::make_unique<CdnNetwork>(*graph_, std::move(deployment),
                                       config_.cdn, rng);
-  router_ = std::make_unique<CdnRouter>(*graph_, *cdn_);
+  {
+    const PhaseSpan phase("world.router_tables");
+    router_ = std::make_unique<CdnRouter>(*graph_, *cdn_, threads);
+  }
 
   PrefixAllocator client_addresses = PrefixAllocator::client_pool();
   clients_ = std::make_unique<ClientPopulation>(ClientPopulation::generate(
@@ -38,9 +45,13 @@ World::World(const ScenarioConfig& config)
   timing_ = std::make_unique<TimingModel>(config_.timing);
   schedule_ = std::make_unique<QuerySchedule>(config_.schedule, calendar_);
 
-  beacon_ = std::make_unique<BeaconSystem>(*router_, metro_db, *clients_,
-                                           *ldns_, *geolocation_, *rtt_,
-                                           *timing_, config_.beacon);
+  {
+    const PhaseSpan phase("world.beacon_precompute");
+    beacon_ = std::make_unique<BeaconSystem>(*router_, metro_db, *clients_,
+                                             *ldns_, *geolocation_, *rtt_,
+                                             *timing_, config_.beacon,
+                                             threads);
+  }
 
   dynamics_ = std::make_unique<RouteDynamics>(config_.dynamics, calendar_,
                                               config_.seed);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <set>
 
 #include "beacon/beacon.h"
 #include "beacon/store.h"
+#include "common/metrics.h"
 #include "sim/world.h"
 #include "test_fixtures.h"
 
@@ -131,6 +135,87 @@ TEST_F(BeaconTest, NearerFrontEndsHaveLowerRtt) {
                                            SimTime{0, 3600.0}, rng);
   }
   EXPECT_LT(near_sum, far_sum);
+}
+
+std::uint64_t unicast_lookups() {
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  const auto it = snap.counters.find("router.unicast_lookups");
+  return it == snap.counters.end() ? 0u : it->second;
+}
+
+TEST_F(BeaconTest, UnicastRttReadsPoolStoreAndCachesTheRest) {
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const BeaconSystem& beacon = world_.beacon();
+  const auto population = world_.clients().clients();
+  const Client24& client = population.front();
+  const auto pool = beacon.candidates_for(client.ldns);
+  const SimTime when{0, 3600.0};
+
+  // Every unicast_rtt call, replayable against a fresh route_unicast.
+  struct Call {
+    Client24 client;
+    FrontEndId fe;
+    std::uint64_t seed;
+    std::uint64_t rtt_bits;
+  };
+  std::vector<Call> calls;
+  const auto measure = [&](const Client24& c, FrontEndId fe) {
+    const std::uint64_t seed = 100 + calls.size();
+    Rng rng(seed);
+    calls.push_back({c, fe, seed,
+                     std::bit_cast<std::uint64_t>(
+                         beacon.unicast_rtt(c, fe, when, rng))});
+  };
+
+  // The client's own pool candidates come from the pre-resolved store.
+  std::uint64_t start = unicast_lookups();
+  for (int rep = 0; rep < 3; ++rep) {
+    for (FrontEndId fe : pool) measure(client, fe);
+  }
+  EXPECT_EQ(unicast_lookups(), start);
+
+  // Front-ends outside the pool resolve once each into the overflow cache.
+  std::vector<FrontEndId> outside;
+  for (const FrontEndSite& site : world_.cdn().deployment().sites()) {
+    if (std::find(pool.begin(), pool.end(), site.id) == pool.end()) {
+      outside.push_back(site.id);
+    }
+  }
+  ASSERT_FALSE(outside.empty());
+  start = unicast_lookups();
+  for (int rep = 0; rep < 3; ++rep) {
+    for (FrontEndId fe : outside) measure(client, fe);
+  }
+  EXPECT_EQ(unicast_lookups() - start, outside.size());
+
+  // A synthetic client reusing the id under another routing unit is not
+  // the population client, so even its own pool's routes resolve once
+  // each into the overflow cache.
+  const auto other = std::find_if(
+      population.begin(), population.end(), [&](const Client24& c) {
+        return c.access_as != client.access_as || c.metro != client.metro;
+      });
+  ASSERT_NE(other, population.end());
+  Client24 synthetic = client;
+  synthetic.access_as = other->access_as;
+  synthetic.metro = other->metro;
+  start = unicast_lookups();
+  for (int rep = 0; rep < 3; ++rep) {
+    for (FrontEndId fe : pool) measure(synthetic, fe);
+  }
+  EXPECT_EQ(unicast_lookups() - start, pool.size());
+  set_metrics_enabled(was_enabled);
+
+  // Each RTT is the one route_rtt gives over a freshly resolved route.
+  for (const Call& call : calls) {
+    Rng rng(call.seed);
+    const RouteResult route = world_.router().route_unicast(
+        call.client.access_as, call.client.metro, call.fe);
+    EXPECT_EQ(call.rtt_bits, std::bit_cast<std::uint64_t>(beacon.route_rtt(
+                                 call.client, route, when, rng)))
+        << "fe " << call.fe.value;
+  }
 }
 
 // ------------------------------------------------------- MeasurementStore

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -81,8 +83,12 @@ TEST(ParallelSimulation, ThreadCountDoesNotChangeResults) {
   const auto parallel8 = fingerprint(8);
   EXPECT_EQ(serial.second, parallel2.second);
   EXPECT_EQ(serial.second, parallel8.second);
-  EXPECT_DOUBLE_EQ(serial.first, parallel2.first);
-  EXPECT_DOUBLE_EQ(serial.first, parallel8.first);
+  // Bit identity, not closeness: a reduction-order leak across thread
+  // counts moves the last bits of the sum.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.first),
+            std::bit_cast<std::uint64_t>(parallel2.first));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.first),
+            std::bit_cast<std::uint64_t>(parallel8.first));
 }
 
 TEST(ParallelSimulation, MeasurementsArriveInClientOrder) {

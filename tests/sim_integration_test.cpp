@@ -2,10 +2,16 @@
 // checked for cross-module invariants rather than per-module behavior.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "analysis/figures.h"
 #include "common/error.h"
+#include "common/metrics.h"
 #include "core/evaluator.h"
 #include "core/predictor.h"
 #include "sim/simulation.h"
@@ -162,9 +168,95 @@ TEST(SimDeterminism, SameSeedSameOutput) {
   const auto a = fingerprint(7);
   const auto b = fingerprint(7);
   EXPECT_EQ(a.second, b.second);
-  EXPECT_DOUBLE_EQ(a.first, b.first);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.first),
+            std::bit_cast<std::uint64_t>(b.first));
   const auto c = fingerprint(8);
   EXPECT_NE(a.first, c.first);
+}
+
+/// Everything World construction fans out, read back bit for bit, plus
+/// the work counters of the construction itself.
+struct WorldSetup {
+  std::vector<std::vector<FrontEndId>> pools;  // per LDNS
+  std::vector<std::array<std::uint64_t, 6>> unicast_routes;
+  std::vector<std::uint64_t> candidate_draws;  // measure_all_candidates
+  std::uint64_t tables_computed = 0;
+  std::uint64_t unicast_lookups = 0;
+  std::size_t sites = 0;
+  std::size_t distinct_keys = 0;
+};
+
+std::uint64_t counter_or_zero(const MetricsSnapshot& snap,
+                              const std::string& name) {
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0u : it->second;
+}
+
+WorldSetup build_world_setup(int threads) {
+  ScenarioConfig config = ScenarioConfig::small_test();
+  config.simulation_threads = threads;
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
+  const MetricsSnapshot before = MetricsRegistry::global().snapshot();
+  const World world(config);
+  const MetricsSnapshot after = MetricsRegistry::global().snapshot();
+  set_metrics_enabled(was_enabled);
+
+  WorldSetup s;
+  s.tables_computed = counter_or_zero(after, "bgp.tables_computed") -
+                      counter_or_zero(before, "bgp.tables_computed");
+  s.unicast_lookups = counter_or_zero(after, "router.unicast_lookups") -
+                      counter_or_zero(before, "router.unicast_lookups");
+  s.sites = world.cdn().deployment().size();
+
+  for (const LdnsServer& server : world.ldns().servers()) {
+    const auto pool = world.beacon().candidates_for(server.id);
+    s.pools.emplace_back(pool.begin(), pool.end());
+  }
+  std::set<std::pair<AsId, MetroId>> units;
+  std::set<std::tuple<AsId, MetroId, FrontEndId>> keys;
+  for (const Client24& c : world.clients().clients()) {
+    units.emplace(c.access_as, c.metro);
+    for (FrontEndId fe : world.beacon().candidates_for(c.ldns)) {
+      keys.emplace(c.access_as, c.metro, fe);
+    }
+    Rng rng(1000 + c.id.value);
+    for (Milliseconds ms : world.beacon().measure_all_candidates(
+             c, SimTime{0, 3600.0}, rng)) {
+      s.candidate_draws.push_back(std::bit_cast<std::uint64_t>(ms));
+    }
+  }
+  s.distinct_keys = keys.size();
+  for (const auto& [as, metro] : units) {
+    for (const FrontEndSite& site : world.cdn().deployment().sites()) {
+      const RouteResult r = world.router().route_unicast(as, metro, site.id);
+      s.unicast_routes.push_back(
+          {std::uint64_t(r.valid), r.front_end.value, r.ingress_metro.value,
+           std::bit_cast<std::uint64_t>(r.path_km),
+           std::bit_cast<std::uint64_t>(r.backbone_km),
+           std::uint64_t(r.as_hops)});
+    }
+  }
+  return s;
+}
+
+TEST(SimDeterminism, WorldSetupIgnoresThreadCount) {
+  // World construction fans the router's BGP tables, the beacon's
+  // candidate pools and its pool routes out on simulation_threads lanes.
+  // None of it may depend on the lane count, nor may the work it does.
+  const WorldSetup serial = build_world_setup(1);
+  EXPECT_EQ(serial.tables_computed, serial.sites + 1);
+  EXPECT_EQ(serial.unicast_lookups, serial.distinct_keys);
+  ASSERT_FALSE(serial.candidate_draws.empty());
+  for (const int threads : {3, 8}) {
+    SCOPED_TRACE(threads);
+    const WorldSetup parallel = build_world_setup(threads);
+    EXPECT_EQ(parallel.pools, serial.pools);
+    EXPECT_EQ(parallel.unicast_routes, serial.unicast_routes);
+    EXPECT_EQ(parallel.candidate_draws, serial.candidate_draws);
+    EXPECT_EQ(parallel.tables_computed, parallel.sites + 1);
+    EXPECT_EQ(parallel.unicast_lookups, parallel.distinct_keys);
+  }
 }
 
 TEST(SimScenario, ValidationCatchesBadKnobs) {
