@@ -64,16 +64,16 @@ class DayAggregates {
   };
 
   /// Buckets one day's columns by group and target. The flat entry table
-  /// sorts with a deterministic parallel sort whose tie-breaker is the
-  /// scan position, so the result is identical for any thread count.
+  /// sorts with the serial stable radix sort, so equal keys keep scan
+  /// order. The `int` is ignored; it stays only for existing callers.
   /// `scratch` (optional) recycles the entry table across days.
   static DayAggregates build(const MeasurementColumns& columns,
-                             Grouping grouping, int threads = 1,
+                             Grouping grouping, int /*ignored*/ = 1,
                              ScratchArena* scratch = nullptr);
   /// Row-struct convenience overload: converts and delegates (one
   /// algorithm, one iteration order).
   static DayAggregates build(std::span<const BeaconMeasurement> measurements,
-                             Grouping grouping, int threads = 1);
+                             Grouping grouping);
 
   [[nodiscard]] Grouping grouping() const { return grouping_; }
 

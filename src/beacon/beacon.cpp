@@ -64,27 +64,11 @@ BeaconSystem::BeaconSystem(const CdnRouter& router,
             static_cast<std::size_t>(config_.candidate_pool));
       });
 
-  // Per-client distance to the metro center, in one batch haversine over
-  // coordinate columns (bit-identical per client to the scalar call).
-  {
-    std::vector<double> client_lat;
-    std::vector<double> client_lon;
-    std::vector<double> metro_lat;
-    std::vector<double> metro_lon;
-    client_lat.reserve(clients.size());
-    client_lon.reserve(clients.size());
-    metro_lat.reserve(clients.size());
-    metro_lon.reserve(clients.size());
-    for (const Client24& c : clients.clients()) {
-      client_lat.push_back(c.location.lat_deg);
-      client_lon.push_back(c.location.lon_deg);
-      const GeoPoint& center = metros.metro(c.metro).location;
-      metro_lat.push_back(center.lat_deg);
-      metro_lon.push_back(center.lon_deg);
-    }
-    client_local_km_.resize(clients.size());
-    haversine_km_pairs(client_lat, client_lon, metro_lat, metro_lon,
-                       client_local_km_);
+  // Per-client distance to the metro center.
+  client_local_km_.reserve(clients.size());
+  for (const Client24& c : clients.clients()) {
+    client_local_km_.push_back(
+        haversine_km(c.location, metros.metro(c.metro).location));
   }
 
   // Pre-resolve the unicast route of every (client, pool slot) pair a
@@ -134,27 +118,19 @@ BeaconSystem::BeaconSystem(const CdnRouter& router,
   }
 
   // Hoist the deterministic base RTT of every (client, pool slot) out of
-  // the per-fetch path: one batch kernel over the whole table. Path
-  // columns mirror route_rtt_at's scalar arithmetic exactly — local
-  // client-to-metro km plus the route's total km — so the per-slot base
-  // is bit-identical to what the fetch loop used to compute.
-  {
-    const std::size_t slots = pool_routes_.size();
-    std::vector<double> path_km(slots, 0.0);
-    std::vector<std::int32_t> hops(slots, 0);
-    std::vector<double> last_mile(slots, 0.0);
-    for (const Client24& c : clients.clients()) {
-      for (std::size_t j = 0; j < stride; ++j) {
-        const std::size_t slot = c.id.value * stride + j;
-        const RouteResult& route = pool_routes_[slot];
-        if (!route.valid) continue;  // slot never read by the hot path
-        path_km[slot] = client_local_km_[c.id.value] + route.total_km();
-        hops[slot] = route.as_hops;
-        last_mile[slot] = c.last_mile_ms;
-      }
+  // the per-fetch path. The path mirrors route_rtt_at's arithmetic
+  // exactly — local client-to-metro km plus the route's total km — so the
+  // per-slot base is bit-identical to what the fetch loop would compute.
+  pool_base_ms_.resize(pool_routes_.size());
+  for (const Client24& c : clients.clients()) {
+    for (std::size_t j = 0; j < stride; ++j) {
+      const std::size_t slot = c.id.value * stride + j;
+      const RouteResult& route = pool_routes_[slot];
+      if (!route.valid) continue;  // slot never read by the hot path
+      pool_base_ms_[slot] =
+          rtt_->base_rtt(client_local_km_[c.id.value] + route.total_km(),
+                         route.as_hops, c.last_mile_ms);
     }
-    pool_base_ms_.resize(slots);
-    rtt_->base_rtt_batch(path_km, hops, last_mile, pool_base_ms_);
   }
 }
 

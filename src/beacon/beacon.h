@@ -158,8 +158,8 @@ class BeaconSystem {
   /// indexes it with one array load. Slots past a pool's real candidate
   /// count stay invalid and are never indexed.
   std::vector<RouteResult> pool_routes_;
-  /// Deterministic base RTT per pool_routes_ slot, precomputed with the
-  /// batch kernel (RttModel::base_rtt_batch): the base is a pure function
+  /// Deterministic base RTT per pool_routes_ slot, precomputed with
+  /// RttModel::base_rtt at construction: the base is a pure function
   /// of (client, route), so hoisting it out of the per-fetch path draws
   /// the exact same rng stream and bit-identical samples. Slots whose
   /// route is invalid hold 0 and are never read.

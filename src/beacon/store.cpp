@@ -1,12 +1,9 @@
 #include "beacon/store.h"
 
-#include <algorithm>
 #include <numeric>
 #include <utility>
 
-#include "common/cost_model.h"
 #include "common/error.h"
-#include "common/executor.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/radix.h"
@@ -16,13 +13,27 @@ namespace acdn {
 
 namespace {
 
-/// Per-shard merge tallies, folded into the join.* counters after the
-/// parallel region (one metric call per name instead of one per shard).
-struct ShardCounts {
-  std::size_t joined = 0;
-  std::size_t orphan_http = 0;
-  std::size_t distinct_urls = 0;
-};
+/// `log` in ascending `keys` order, ties in log order. Day-loop logs
+/// arrive sorted (client-major, monotone beacon ids) and come back as
+/// they are; any other log is stable-radix-sorted with its log positions
+/// as payload and gathered into `sorted`. Stability is what keeps the
+/// last DNS row of a url_id the winner and a beacon's HTTP rows — its
+/// target order and metadata row — in log order.
+template <typename Row>
+std::span<const Row> in_key_order(std::span<const Row> log,
+                                  std::vector<std::uint64_t>& keys,
+                                  std::vector<Row>& sorted,
+                                  ScratchArena& scratch) {
+  if (simd::is_sorted_u64(std::span<const std::uint64_t>(keys))) return log;
+  auto pos = scratch.lease<std::uint32_t>("join.pos");
+  pos->resize(log.size());
+  std::iota(pos->begin(), pos->end(), 0u);
+  radix_sort_pairs(std::span<std::uint64_t>(keys),
+                   std::span<std::uint32_t>(*pos), &scratch);
+  sorted.resize(log.size());
+  for (std::size_t i = 0; i < log.size(); ++i) sorted[i] = log[(*pos)[i]];
+  return sorted;
+}
 
 }  // namespace
 
@@ -50,394 +61,135 @@ std::optional<BeaconMeasurement::Target> BeaconMeasurement::best_unicast()
   return best;
 }
 
-bool MeasurementStore::join_presorted_day(
-    std::span<const DnsLogEntry> dns_log,
-    std::span<const HttpLogEntry> http_log) {
-  const DayIndex day0 = http_log.empty() ? DayIndex{0} : http_log[0].day;
-  if (day0 < 0) return false;
-  for (const HttpLogEntry& row : http_log) {
-    if (row.day != day0) return false;
-  }
+void MeasurementStore::join(std::span<const DnsLogEntry> dns_log,
+                            std::span<const HttpLogEntry> http_log, int) {
+  const PhaseSpan join_phase("join");
+  metric_count("join.dns_rows", dns_log.size());
+  metric_count("join.http_rows", http_log.size());
 
-  auto& dns_keys = scratch_.buffer<std::uint64_t>("join.fast_dns");
-  auto& http_keys = scratch_.buffer<std::uint64_t>("join.fast_http");
-  dns_keys.resize(dns_log.size());
+  static const FailPoint store_fault("beacon/store");
+
+  // Key columns: DNS by url_id, HTTP by beacon id (url_id / 4). Leased:
+  // they stay live across the radix sorts' own scratch use below.
+  auto dns_keys = scratch_.lease<std::uint64_t>("join.dns_key");
+  auto http_keys = scratch_.lease<std::uint64_t>("join.http_key");
+  dns_keys->resize(dns_log.size());
   for (std::size_t i = 0; i < dns_log.size(); ++i) {
-    dns_keys[i] = dns_log[i].url_id;
+    (*dns_keys)[i] = dns_log[i].url_id;
   }
-  http_keys.resize(http_log.size());
+  http_keys->resize(http_log.size());
   for (std::size_t i = 0; i < http_log.size(); ++i) {
-    http_keys[i] = http_log[i].url_id / 4;
+    (*http_keys)[i] = http_log[i].url_id / 4;
   }
-  if (!simd::is_sorted_u64(std::span<const std::uint64_t>(dns_keys)) ||
-      !simd::is_sorted_u64(std::span<const std::uint64_t>(http_keys))) {
-    return false;
-  }
+  auto dns_sorted = scratch_.lease<DnsLogEntry>("join.dns_sorted");
+  auto http_sorted = scratch_.lease<HttpLogEntry>("join.http_sorted");
+  const std::span<const DnsLogEntry> dns =
+      in_key_order(dns_log, *dns_keys, *dns_sorted, scratch_);
+  const std::span<const HttpLogEntry> http =
+      in_key_order(http_log, *http_keys, *http_sorted, scratch_);
 
-  // Both key columns are sorted in place, so log position == key index:
-  // no pos payload, no sort, no staging columns. Beacon runs come from
-  // the neighbor-compare kernel; the run count bounds the row reserve.
-  auto& runs = scratch_.buffer<std::uint32_t>("join.fast_runs");
-  simd::run_starts_u64(std::span<const std::uint64_t>(http_keys), runs);
+  // One merge pass over the HTTP side's beacon runs. Both sides ascend in
+  // beacon id, so the DNS cursor only moves forward; a beacon's DNS rows
+  // are the run with url_id in [4*beacon, 4*beacon + 4).
+  auto runs = scratch_.lease<std::uint32_t>("join.runs");
+  simd::run_starts_u64(std::span<const std::uint64_t>(*http_keys), *runs);
 
   std::size_t joined = 0;
   std::size_t orphan_http = 0;
   std::size_t stored_rows = 0;
-  MeasurementColumns* dest = nullptr;
+  std::size_t stored_targets = 0;
+  std::size_t dropped_rows = 0;
+  std::size_t dropped_targets = 0;
+  bool reserved = false;
   std::size_t d = 0;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    const std::size_t h_begin = runs[r];
+  for (std::size_t r = 0; r < runs->size(); ++r) {
+    const std::size_t h_begin = (*runs)[r];
     const std::size_t h_end =
-        r + 1 < runs.size() ? runs[r + 1] : http_keys.size();
-    const std::uint64_t beacon = http_keys[h_begin];
-    while (d < dns_keys.size() && dns_keys[d] < beacon * 4) ++d;
+        r + 1 < runs->size() ? (*runs)[r + 1] : http.size();
+    const std::uint64_t beacon = (*http_keys)[h_begin];
+    while (d < dns.size() && (*dns_keys)[d] < beacon * 4) ++d;
     std::size_t d_end = d;
-    while (d_end < dns_keys.size() && dns_keys[d_end] < beacon * 4 + 4) {
+    while (d_end < dns.size() && (*dns_keys)[d_end] < beacon * 4 + 4) {
       ++d_end;
     }
     bool opened = false;
+    std::optional<Fault> fault;
+    MeasurementColumns* dest = nullptr;  // null while the row is dropped
     for (std::size_t h = h_begin; h < h_end; ++h) {
-      const HttpLogEntry& row = http_log[h];
-      // Last matching DNS row wins, as in the hash index the sort-merge
-      // join replaced.
+      const HttpLogEntry& row = http[h];
+      // Last matching DNS row wins. The run holds a handful of rows (four
+      // fetches per beacon), so a scan beats any per-row search structure.
       const DnsLogEntry* match = nullptr;
       for (std::size_t k = d; k < d_end; ++k) {
-        if (dns_keys[k] == row.url_id) match = &dns_log[k];
+        if ((*dns_keys)[k] == row.url_id) match = &dns[k];
       }
       if (match == nullptr) {
         ++orphan_http;  // unjoined fetch: drop
         continue;
       }
       ++joined;
-      if (dest == nullptr) {
-        // First stored row materializes the day (all-orphan batches must
-        // not grow days()) and reserves for the batch's upper bound.
-        if (static_cast<std::size_t>(day0) >= by_day_.size()) {
-          by_day_.resize(static_cast<std::size_t>(day0) + 1);
-        }
-        dest = &by_day_[static_cast<std::size_t>(day0)];
-        dest->reserve(dest->size() + runs.size(),
-                      dest->target_count() + http_log.size());
-      }
       if (!opened) {
-        dest->append_row(beacon, row.client, match->ldns, row.day, row.hour);
+        // The first joined row fixes the measurement's metadata and day.
+        // The day materializes before the fault decision, so a fully
+        // dropped day still counts in days(). The "beacon/store" fail
+        // point models ingestion failures keyed by (day, beacon id):
+        // whole rows lost (drop/error) or RTTs mangled (delay/corrupt).
         opened = true;
-        ++stored_rows;
+        require(row.day >= 0, "measurement day must be non-negative");
+        const auto day = static_cast<std::size_t>(row.day);
+        if (day >= by_day_.size()) by_day_.resize(day + 1);
+        dest = &by_day_[day];
+        if (!reserved) {
+          // The day loop's batches land on one day: reserve it for the
+          // batch's upper bound once.
+          dest->reserve(dest->size() + runs->size(),
+                        dest->target_count() + http.size());
+          reserved = true;
+        }
+        fault = store_fault.fire(row.day, beacon);
+        if (fault && (fault->kind == FaultKind::kDrop ||
+                      fault->kind == FaultKind::kError)) {
+          dest = nullptr;
+          ++dropped_rows;
+        } else {
+          dest->append_row(beacon, row.client, match->ldns, row.day,
+                           row.hour);
+          ++stored_rows;
+        }
       }
-      dest->append_target(row.anycast, row.front_end, row.rtt_ms);
+      if (dest == nullptr) {
+        ++dropped_targets;
+        continue;
+      }
+      Milliseconds rtt = row.rtt_ms;
+      if (fault) {  // kDelay / kCorrupt: ingestion skews the stored RTT
+        if (fault->kind == FaultKind::kDelay) {
+          rtt += fault->magnitude;
+        } else {
+          rtt *= 1.0 + fault->magnitude;
+        }
+      }
+      dest->append_target(row.anycast, row.front_end, rtt);
+      ++stored_targets;
     }
     d = d_end;
   }
 
   std::size_t distinct_urls = 0;
-  for (std::size_t k = 0; k < dns_keys.size(); ++k) {
-    if (k == 0 || dns_keys[k] != dns_keys[k - 1]) ++distinct_urls;
-  }
-  metric_count("join.orphan_http", orphan_http);
-  metric_count("join.orphan_dns", distinct_urls - joined);
-  metric_count("join.measurements", stored_rows);
-  metric_count("join.joined_targets", joined);
-  metric_count("join.distinct_dns", distinct_urls);
-  metric_count("join.stored_rows", stored_rows);
-  metric_count("join.stored_targets", joined);
-  metric_count("join.dropped_rows", 0);
-  metric_count("join.dropped_targets", 0);
-  return true;
-}
-
-void MeasurementStore::join(std::span<const DnsLogEntry> dns_log,
-                            std::span<const HttpLogEntry> http_log,
-                            int threads) {
-  // Sort-merge join over contiguous beacon-id ranges: both logs sort once
-  // globally (DNS by url_id, HTTP by beacon id = url_id / 4; positions
-  // break ties by log order), then split at beacon boundaries into shards
-  // that merge independently. A beacon's DNS and HTTP rows always fall in
-  // the same range, so shards join without communication, and because the
-  // ranges partition one global ascending order, concatenating shard
-  // outputs in shard order *is* the ascending-beacon-id sequence — the
-  // stored order, and every downstream analysis, is identical for any
-  // shard or thread count and matches the hash join this replaced.
-  const PhaseSpan join_phase("join");
-  metric_count("join.dns_rows", dns_log.size());
-  metric_count("join.http_rows", http_log.size());
-
-  static const FailPoint store_fault("beacon/store");
-  const bool faults_armed = fail_points_armed();
-
-  // Cost model: the shard count derives from the input size (one shard
-  // per kJoinMinRowsPerShard log rows), capped by the requested threads,
-  // the physical cores, and the historical 16-shard ceiling. Small
-  // batches — and any batch on a 1-core host — take the single-shard
-  // path below at every thread count, which is what keeps 4-thread joins
-  // from ever regressing past 1-thread (tools/perf_gate.sh pins this).
-  const std::size_t log_rows = dns_log.size() + http_log.size();
-  const auto shard_count = static_cast<std::size_t>(plan_parallelism(
-      log_rows, kJoinMinRowsPerShard, std::clamp(threads, 1, 16)));
-
-  // Fast path — one shard, no armed faults, every HTTP row on one valid
-  // day, both logs already sorted (the steady-state day loop): join
-  // straight into the day's columns. This skips the whole staging copy
-  // the sharded path pays (join into a shard output, then re-append every
-  // column into by_day_), which at paper scale dominates the join.
-  if (shard_count == 1 && !faults_armed &&
-      join_presorted_day(dns_log, http_log)) {
-    return;
-  }
-
-  // Full-log key/pos columns, SoA. Positions append in scan order, so a
-  // non-decreasing key column is already sorted by (key, pos) — and when
-  // it is not, the *stable* radix pair sort restores exactly that order
-  // without an explicit tie-breaker: the last entry of a url_id run stays
-  // the "last log row wins" winner the hash index produced, and a
-  // beacon's HTTP rows keep log order, which fixes the measurement's
-  // target order and metadata row. Leased (not plain buffers): these
-  // slots stay live across the nested radix/merge passes below.
-  auto dns_key = scratch_.lease<std::uint64_t>("join.dns_key");
-  auto dns_pos = scratch_.lease<std::uint32_t>("join.dns_pos");
-  auto http_key = scratch_.lease<std::uint64_t>("join.http_key");
-  auto http_pos = scratch_.lease<std::uint32_t>("join.http_pos");
-  dns_key->resize(dns_log.size());
-  dns_pos->resize(dns_log.size());
-  for (std::size_t i = 0; i < dns_log.size(); ++i) {
-    (*dns_key)[i] = dns_log[i].url_id;
-  }
-  std::iota(dns_pos->begin(), dns_pos->end(), 0u);
-  http_key->resize(http_log.size());
-  http_pos->resize(http_log.size());
-  for (std::size_t i = 0; i < http_log.size(); ++i) {
-    (*http_key)[i] = http_log[i].url_id / 4;
-  }
-  std::iota(http_pos->begin(), http_pos->end(), 0u);
-
-  // Day-loop logs arrive presorted (client-major, monotone beacon ids),
-  // so check — with the SIMD neighbor-compare kernel — before paying the
-  // sort.
-  if (!simd::is_sorted_u64(std::span<const std::uint64_t>(*dns_key))) {
-    radix_sort_pairs(std::span<std::uint64_t>(*dns_key),
-                     std::span<std::uint32_t>(*dns_pos), threads, &scratch_);
-  }
-  if (!simd::is_sorted_u64(std::span<const std::uint64_t>(*http_key))) {
-    radix_sort_pairs(std::span<std::uint64_t>(*http_key),
-                     std::span<std::uint32_t>(*http_pos), threads, &scratch_);
-  }
-
-  // Shard boundaries: equal slices of the HTTP side, advanced to beacon-
-  // run starts, with the DNS boundary at the first url of the boundary
-  // beacon. lower_bound splits only between distinct keys, so neither a
-  // beacon's HTTP run nor a url_id's DNS run ever straddles a shard —
-  // per-shard distinct-url counts sum to the global count. DNS-only
-  // batches (no HTTP rows) slice the DNS side instead so orphan counting
-  // still fans out.
-  auto http_bound = scratch_.lease<std::size_t>("join.http_bounds");
-  auto dns_bound = scratch_.lease<std::size_t>("join.dns_bounds");
-  http_bound->assign(shard_count + 1, 0);
-  dns_bound->assign(shard_count + 1, 0);
-  (*http_bound)[shard_count] = http_key->size();
-  (*dns_bound)[shard_count] = dns_key->size();
-  for (std::size_t s = 1; s < shard_count; ++s) {
-    if (!http_key->empty()) {
-      std::size_t cut = s * http_key->size() / shard_count;
-      while (cut > 0 && cut < http_key->size() &&
-             (*http_key)[cut] == (*http_key)[cut - 1]) {
-        ++cut;
-      }
-      cut = std::max(cut, (*http_bound)[s - 1]);
-      (*http_bound)[s] = cut;
-      (*dns_bound)[s] =
-          cut < http_key->size()
-              ? static_cast<std::size_t>(
-                    std::lower_bound(dns_key->begin(), dns_key->end(),
-                                     (*http_key)[cut] * 4) -
-                    dns_key->begin())
-              : dns_key->size();
-    } else {
-      std::size_t cut = s * dns_key->size() / shard_count;
-      while (cut > 0 && cut < dns_key->size() &&
-             (*dns_key)[cut] == (*dns_key)[cut - 1]) {
-        ++cut;
-      }
-      (*dns_bound)[s] = std::max(cut, (*dns_bound)[s - 1]);
-    }
-    (*dns_bound)[s] = std::max((*dns_bound)[s], (*dns_bound)[s - 1]);
-  }
-
-  // Shard outputs and tallies persist across joins; steady-state day
-  // loops reuse the capacity grown on day one.
-  auto out_lease = scratch_.lease_raw<MeasurementColumns>("join.out");
-  std::vector<MeasurementColumns>& out_shards = out_lease.get();
-  if (out_shards.size() < shard_count) out_shards.resize(shard_count);
-  auto counts_lease = scratch_.lease<ShardCounts>("join.counts");
-  std::vector<ShardCounts>& counts = counts_lease.get();
-  counts.assign(shard_count, ShardCounts{});
-
-  Executor::global().parallel_for(
-      0, shard_count, threads, [&](std::size_t s) {
-        MeasurementColumns& out = out_shards[s];
-        out.clear();
-        ShardCounts& tally = counts[s];
-        const std::size_t h_lo = (*http_bound)[s];
-        const std::size_t h_hi = (*http_bound)[s + 1];
-        const std::size_t d_lo = (*dns_bound)[s];
-        const std::size_t d_hi = (*dns_bound)[s + 1];
-
-        // Single merge pass: both sequences ascend in beacon id, so the
-        // DNS cursor only ever moves forward. A beacon's DNS rows are the
-        // run with url_id in [4*beacon, 4*beacon + 4).
-        std::size_t d = d_lo;
-        for (std::size_t h = h_lo; h < h_hi;) {
-          const std::uint64_t beacon = (*http_key)[h];
-          std::size_t h_end = h;
-          while (h_end < h_hi && (*http_key)[h_end] == beacon) ++h_end;
-          while (d < d_hi && (*dns_key)[d] < beacon * 4) ++d;
-          std::size_t d_end = d;
-          while (d_end < d_hi && (*dns_key)[d_end] < beacon * 4 + 4) {
-            ++d_end;
-          }
-          bool opened = false;
-          for (; h < h_end; ++h) {
-            const HttpLogEntry& row = http_log[(*http_pos)[h]];
-            // Last matching DNS row wins, as in the hash index. The run
-            // holds at most a handful of rows (four fetches per beacon),
-            // so the scan is cheaper than any per-row search structure.
-            const DnsLogEntry* match = nullptr;
-            for (std::size_t k = d; k < d_end; ++k) {
-              if ((*dns_key)[k] == row.url_id) {
-                match = &dns_log[(*dns_pos)[k]];
-              }
-            }
-            if (match == nullptr) {
-              ++tally.orphan_http;  // unjoined fetch: drop
-              continue;
-            }
-            ++tally.joined;
-            if (!opened) {
-              // First joined HTTP row fixes the measurement metadata.
-              out.append_row(beacon, row.client, match->ldns, row.day,
-                             row.hour);
-              opened = true;
-            }
-            out.append_target(row.anycast, row.front_end, row.rtt_ms);
-          }
-          d = d_end;
-        }
-
-        for (std::size_t k = d_lo; k < d_hi; ++k) {
-          if (k == d_lo || (*dns_key)[k] != (*dns_key)[k - 1]) {
-            ++tally.distinct_urls;
-          }
-        }
-      });
-
-  std::size_t joined = 0;
-  std::size_t orphan_http = 0;
-  std::size_t distinct_urls = 0;
-  std::size_t total_rows = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    joined += counts[s].joined;
-    orphan_http += counts[s].orphan_http;
-    distinct_urls += counts[s].distinct_urls;
-    total_rows += out_shards[s].size();
+  for (std::size_t k = 0; k < dns.size(); ++k) {
+    if (k == 0 || (*dns_keys)[k] != (*dns_keys)[k - 1]) ++distinct_urls;
   }
   metric_count("join.orphan_http", orphan_http);
   // URL ids are unique per fetch, so every joined HTTP row consumes a
   // distinct DNS url; the remainder never matched.
   metric_count("join.orphan_dns", distinct_urls - joined);
-  metric_count("join.measurements", total_rows);
+  metric_count("join.measurements", stored_rows + dropped_rows);
   // Conservation ledger (chaos invariants): per join call,
   //   http_rows    == joined_targets + orphan_http
   //   distinct_dns == joined_targets + orphan_dns
   //   joined_targets == stored_targets + dropped_targets
   metric_count("join.joined_targets", joined);
   metric_count("join.distinct_dns", distinct_urls);
-
-  // Reserve the target day's columns when the whole batch lands on one
-  // day (the simulation's case — join is called once per day).
-  std::size_t total_targets = 0;
-  bool uniform_day = true;
-  DayIndex batch_day = -1;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    total_targets += out_shards[s].target_count();
-    for (const DayIndex day : out_shards[s].day) {
-      if (batch_day == -1) batch_day = day;
-      uniform_day = uniform_day && day == batch_day;
-    }
-  }
-  if (uniform_day && batch_day >= 0 && total_rows > 0) {
-    if (static_cast<std::size_t>(batch_day) >= by_day_.size()) {
-      by_day_.resize(static_cast<std::size_t>(batch_day) + 1);
-    }
-    MeasurementColumns& dest = by_day_[static_cast<std::size_t>(batch_day)];
-    dest.reserve(dest.size() + total_rows,
-                 dest.target_count() + total_targets);
-  }
-
-  // One day, no armed faults: no row can drop and shard order is already
-  // ascending beacon id (contiguous ranges of one global order), so the
-  // fold is a bulk column concat per shard — the per-row append_from walk
-  // the thread-derived modulo sharding used to force is gone.
-  if (!faults_armed && uniform_day) {
-    if (batch_day >= 0 && total_rows > 0) {
-      MeasurementColumns& dest =
-          by_day_[static_cast<std::size_t>(batch_day)];
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        dest.append_all(out_shards[s]);
-      }
-    }
-    metric_count("join.stored_rows", total_rows);
-    metric_count("join.stored_targets", total_targets);
-    metric_count("join.dropped_rows", 0);
-    metric_count("join.dropped_targets", 0);
-    return;
-  }
-
-  // Serial fold, rows in ascending beacon id (shard-major over contiguous
-  // ranges — exactly the order the old k-way merge produced).
-  // The "beacon/store" fail point models measurement ingestion failures:
-  // whole joined rows lost (drop/error) or RTTs mangled on the way to
-  // storage (delay/corrupt). It is evaluated here in the serial fold —
-  // keyed by (day, beacon id) — so drops hit the same beacons for any
-  // shard count, and the dropped/stored ledger stays exact.
-  std::size_t stored_rows = 0;
-  std::size_t stored_targets = 0;
-  std::size_t dropped_rows = 0;
-  std::size_t dropped_targets = 0;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    const MeasurementColumns& src = out_shards[s];
-    for (std::size_t i = 0; i < src.size(); ++i) {
-      const std::uint64_t beacon = src.beacon_id[i];
-      const DayIndex day = src.day[i];
-      require(day >= 0, "measurement day must be non-negative");
-      const std::size_t row_targets =
-          src.row_targets_end(i) - src.row_targets_begin(i);
-
-      std::optional<Fault> fault;
-      if (faults_armed) fault = store_fault.fire(day, beacon);
-      if (fault && (fault->kind == FaultKind::kDrop ||
-                    fault->kind == FaultKind::kError)) {
-        ++dropped_rows;
-        dropped_targets += row_targets;
-        continue;
-      }
-
-      if (static_cast<std::size_t>(day) >= by_day_.size()) {
-        by_day_.resize(static_cast<std::size_t>(day) + 1);
-      }
-      MeasurementColumns& dest = by_day_[static_cast<std::size_t>(day)];
-      dest.append_from(src, i);
-      ++stored_rows;
-      stored_targets += row_targets;
-      if (fault) {  // kDelay / kCorrupt: ingestion skews the stored RTTs
-        for (std::size_t t = dest.target_count() - row_targets;
-             t < dest.target_count(); ++t) {
-          if (fault->kind == FaultKind::kDelay) {
-            dest.target_rtt[t] += fault->magnitude;
-          } else {
-            dest.target_rtt[t] *= 1.0 + fault->magnitude;
-          }
-        }
-      }
-    }
-  }
   metric_count("join.stored_rows", stored_rows);
   metric_count("join.stored_targets", stored_targets);
   metric_count("join.dropped_rows", dropped_rows);

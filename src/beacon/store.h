@@ -15,24 +15,21 @@ namespace acdn {
 
 class MeasurementStore {
  public:
-  /// Joins the two server-side logs on url_id with a sort-merge join.
-  /// Both logs sort once globally — DNS by (url_id, log position), HTTP
-  /// by (beacon id, log position); day-loop logs arrive presorted and
-  /// skip the sort — then split into *contiguous* beacon-id ranges, one
-  /// per shard, that merge independently: duplicate DNS url_ids resolve
-  /// to the last log row, targets keep HTTP log order within a beacon,
-  /// and rows lacking a counterpart drop, exactly like the hash join
-  /// this replaced. Because shards are contiguous ranges of one global
-  /// order, concatenating their outputs in shard order *is* the
-  /// ascending-beacon-id sequence — no k-way merge — so the stored
-  /// sequence is identical for any thread and shard count. The shard
-  /// count derives from the input size (common/cost_model.h), never from
-  /// `threads` alone: small batches take the single-shard presorted fast
-  /// path at any thread count, which is what keeps N-thread joins from
-  /// ever running slower than 1-thread. Scratch buffers persist in an
-  /// arena across calls, so steady-state joins allocate almost nothing.
+  /// Joins the two server-side logs on url_id with one sort-merge pass
+  /// and appends the measurements to their days. DNS keys on url_id, HTTP
+  /// on beacon id (url_id / 4); a side whose keys are not already
+  /// ascending (day-loop logs are) is stable-radix-sorted first, so ties
+  /// keep log order: duplicate DNS url_ids resolve to the last log row,
+  /// targets keep HTTP log order within a beacon, and rows lacking a
+  /// counterpart drop. Rows are stored in ascending beacon id. A beacon's
+  /// first joined HTTP row fixes its metadata and day, materializes that
+  /// day, and fires the "beacon/store" fail point keyed by (day, beacon
+  /// id). The trailing `int` is ignored: the join is serial, and the
+  /// parameter stays only for existing callers. Scratch buffers persist
+  /// in an arena across calls, so steady-state joins allocate almost
+  /// nothing.
   void join(std::span<const DnsLogEntry> dns_log,
-            std::span<const HttpLogEntry> http_log, int threads = 1);
+            std::span<const HttpLogEntry> http_log, int /*ignored*/ = 1);
 
   void add(BeaconMeasurement measurement);
 
@@ -65,16 +62,6 @@ class MeasurementStore {
   }
 
  private:
-  /// Single-shard fast path: when every HTTP row lands on one valid day
-  /// and both logs are already sorted (checked with the SIMD neighbor-
-  /// compare kernel), the merge writes joined rows straight into that
-  /// day's columns — no shard staging copy. Returns false (having stored
-  /// nothing) when the preconditions do not hold, and the caller falls
-  /// back to the sharded sort-merge path. Callers must ensure no fail
-  /// points are armed; this path never evaluates the store fail point.
-  bool join_presorted_day(std::span<const DnsLogEntry> dns_log,
-                          std::span<const HttpLogEntry> http_log);
-
   std::vector<MeasurementColumns> by_day_;
   ScratchArena scratch_;
 };

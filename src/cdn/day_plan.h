@@ -73,8 +73,8 @@ class DayRoutePlan {
   [[nodiscard]] const DayRoute& route_for(const Client24& client) const;
 
   /// Uncached per-client resolution — the pre-plan hot path, preserved as
-  /// the stale-plan fallback and as the property-test oracle. Reads only
-  /// `dynamics` and the router; safe from any thread.
+  /// the property-test oracle. Reads only `dynamics` and the router; safe
+  /// from any thread.
   [[nodiscard]] DayRoute resolve_reference(const Client24& client,
                                            const RouteDynamics& dynamics)
       const;

@@ -81,9 +81,9 @@ std::optional<FrontEndId> Deployment::site_at(MetroId metro) const {
 std::vector<FrontEndId> Deployment::nearest_sites(const MetroDatabase& metros,
                                                   const GeoPoint& p,
                                                   std::size_t k) const {
-  // Site coordinates as columns, then one batch haversine from p: the
-  // SIMD kernel is bit-identical per site to the scalar haversine_km(p,
-  // site) this replaces, so the partial_sort order cannot change.
+  // Site coordinates as columns, then one batch haversine from p
+  // (bit-identical per site to haversine_km(p, site), with p's cosine
+  // computed once).
   std::vector<double> lat;
   std::vector<double> lon;
   lat.reserve(sites_.size());

@@ -1,7 +1,7 @@
 // Reusable scratch-buffer pool for per-day pipeline passes.
 //
 // The day loop allocates the same working vectors every day — per-client
-// outputs, join shards, group-by entry tables — then frees them at day's
+// outputs, join key columns, group-by entry tables — then frees them at day's
 // end, so the allocator does the same work over and over. A ScratchArena
 // keeps those vectors alive between passes: buffer<T>(id) hands back the
 // same vector each day, cleared but with its capacity intact, so after a

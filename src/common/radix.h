@@ -1,4 +1,4 @@
-// Deterministic stable LSD radix sort for packed uint64 keys.
+// Stable LSD radix sort for packed uint64 keys.
 //
 // The measurement pipeline's sorts are all of one shape: a flat array of
 // rows keyed by a bit-packed uint64 (join keys, group-by keys, snapshot
@@ -8,13 +8,10 @@
 // for our packed keys (few distinct groups, small front-end ids) usually
 // leaves two or three real passes.
 //
-// Determinism is stronger than parallel_sort's: a *stable* sort's output
-// permutation is a pure function of the input array, so the serial path
-// and the chunk+merge parallel path produce byte-identical results by
-// construction — no seq tie-breaker columns needed. The parallel variant
-// keeps the executor's fixed (n, grain) chunk plan and the same pairwise
-// merge-tree shape as parallel_sort (common/flat_group.h), with a stable
-// left-priority merge.
+// The sort is serial and *stable*: its output permutation is a pure
+// function of the input array, so equal keys keep scan order and callers
+// need no seq tie-breaker columns. Composite keys wider than 64 bits
+// chain passes least-significant first.
 #pragma once
 
 #include <array>
@@ -23,13 +20,11 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/check.h"
-#include "common/cost_model.h"
-#include "common/executor.h"
-#include "common/flat_group.h"
 
 namespace acdn {
 
@@ -89,98 +84,11 @@ void lsd_sort(std::uint64_t* keys, V* vals, std::size_t n,
   }
 }
 
-/// Stable merge of the adjacent sorted runs [lo, mid) and [mid, hi):
-/// left elements win ties, so the merge of two stable-sorted chunks is
-/// the stable sort of their concatenation. Merges into tmp_*[lo, hi)
-/// and copies back.
-template <typename V>
-void merge_adjacent(std::uint64_t* keys, V* vals, std::size_t lo,
-                    std::size_t mid, std::size_t hi, std::uint64_t* tmp_keys,
-                    V* tmp_vals) {
-  constexpr bool kHasVals = !std::is_same_v<V, NoPayload>;
-  // Already in order (a pure function of the key data, so this shortcut
-  // cannot perturb determinism).
-  if (keys[mid - 1] <= keys[mid]) return;
-  std::size_t i = lo;
-  std::size_t j = mid;
-  std::size_t o = lo;
-  while (i < mid && j < hi) {
-    if (keys[j] < keys[i]) {
-      tmp_keys[o] = keys[j];
-      if constexpr (kHasVals) tmp_vals[o] = vals[j];
-      ++j;
-    } else {
-      tmp_keys[o] = keys[i];
-      if constexpr (kHasVals) tmp_vals[o] = vals[i];
-      ++i;
-    }
-    ++o;
-  }
-  if (i < mid) {
-    std::memcpy(tmp_keys + o, keys + i, (mid - i) * sizeof(std::uint64_t));
-    if constexpr (kHasVals) {
-      std::memcpy(tmp_vals + o, vals + i, (mid - i) * sizeof(V));
-    }
-    o += mid - i;
-  }
-  if (j < hi) {
-    std::memcpy(tmp_keys + o, keys + j, (hi - j) * sizeof(std::uint64_t));
-    if constexpr (kHasVals) {
-      std::memcpy(tmp_vals + o, vals + j, (hi - j) * sizeof(V));
-    }
-    o += hi - j;
-  }
-  ACDN_DCHECK_EQ(o, hi);
-  std::memcpy(keys + lo, tmp_keys + lo, (hi - lo) * sizeof(std::uint64_t));
-  if constexpr (kHasVals) {
-    std::memcpy(vals + lo, tmp_vals + lo, (hi - lo) * sizeof(V));
-  }
-}
-
-/// Shared driver: serial below the cost-model crossover (the merge tree
-/// re-touches every element per level, so fanning out a sub-crossover
-/// input does strictly more work), otherwise the fixed chunk plan +
-/// pairwise merge tree. Stability makes both paths produce the unique
-/// stable permutation, so the choice is invisible.
-template <typename V>
-void sort_impl(std::span<std::uint64_t> keys, V* vals, int threads,
-               std::uint64_t* tmp_keys, V* tmp_vals) {
-  const std::size_t n = keys.size();
-  const Executor::ChunkPlan plan = Executor::plan_chunks(n, kSortGrain);
-  if (plan.chunks <= 1 ||
-      plan_parallelism(n, kRadixParallelMinKeys, threads) <= 1) {
-    lsd_sort(keys.data(), vals, n, tmp_keys, tmp_vals);
-    return;
-  }
-  const auto bound = [&](std::size_t chunk) {
-    return std::min(n, chunk * plan.chunk_size);
-  };
-  Executor::global().parallel_for(0, plan.chunks, threads, [&](std::size_t c) {
-    const std::size_t lo = bound(c);
-    const std::size_t hi = bound(c + 1);
-    constexpr bool kHasVals = !std::is_same_v<V, NoPayload>;
-    lsd_sort(keys.data() + lo, kHasVals ? vals + lo : vals, hi - lo,
-             tmp_keys + lo, kHasVals ? tmp_vals + lo : tmp_vals);
-  });
-  for (std::size_t width = 1; width < plan.chunks; width *= 2) {
-    const std::size_t stride = 2 * width;
-    const std::size_t pairs = (plan.chunks + stride - 1) / stride;
-    Executor::global().parallel_for(0, pairs, threads, [&](std::size_t p) {
-      const std::size_t lo = bound(p * stride);
-      const std::size_t mid = bound(std::min(plan.chunks, p * stride + width));
-      const std::size_t hi = bound(std::min(plan.chunks, p * stride + stride));
-      if (mid >= hi) return;  // odd tail: already sorted
-      merge_adjacent(keys.data(), vals, lo, mid, hi, tmp_keys, tmp_vals);
-    });
-  }
-}
-
 }  // namespace radix_detail
 
-/// Stable LSD radix sort of packed uint64 keys, ascending. `threads`
-/// follows the parallel_sort contract (results identical for any value,
-/// including 1); `scratch` retains the ping-pong buffer between calls.
-inline void radix_sort(std::span<std::uint64_t> keys, int threads = 1,
+/// Stable LSD radix sort of packed uint64 keys, ascending. `scratch`
+/// retains the ping-pong buffer between calls.
+inline void radix_sort(std::span<std::uint64_t> keys,
                        ScratchArena* scratch = nullptr) {
   ACDN_CHECK_LE(keys.size(), std::size_t{UINT32_MAX})
       << "radix_sort counters are 32-bit";
@@ -188,16 +96,16 @@ inline void radix_sort(std::span<std::uint64_t> keys, int threads = 1,
   std::vector<std::uint64_t>& tmp =
       scratch ? scratch->buffer<std::uint64_t>("radix.tmp_keys") : local;
   tmp.resize(keys.size());
-  radix_detail::sort_impl<radix_detail::NoPayload>(keys, nullptr, threads,
-                                                   tmp.data(), nullptr);
+  radix_detail::lsd_sort<radix_detail::NoPayload>(
+      keys.data(), nullptr, keys.size(), tmp.data(), nullptr);
 }
 
 /// Payload-permutation variant: sorts `keys` ascending and applies the
 /// same stable permutation to `vals`. V must be trivially copyable (the
-/// scatter and merge passes move payloads with memcpy).
+/// scatter passes move payloads with memcpy).
 template <typename V>
 void radix_sort_pairs(std::span<std::uint64_t> keys, std::span<V> vals,
-                      int threads = 1, ScratchArena* scratch = nullptr) {
+                      ScratchArena* scratch = nullptr) {
   static_assert(std::is_trivially_copyable_v<V>,
                 "radix_sort_pairs payloads move via memcpy");
   ACDN_CHECK_EQ(keys.size(), vals.size());
@@ -211,8 +119,8 @@ void radix_sort_pairs(std::span<std::uint64_t> keys, std::span<V> vals,
       scratch ? scratch->buffer<V>("radix.tmp_vals") : local_v;
   tmp_k.resize(keys.size());
   tmp_v.resize(vals.size());
-  radix_detail::sort_impl(keys, vals.data(), threads, tmp_k.data(),
-                          tmp_v.data());
+  radix_detail::lsd_sort(keys.data(), vals.data(), keys.size(), tmp_k.data(),
+                         tmp_v.data());
 }
 
 }  // namespace acdn

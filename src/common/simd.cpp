@@ -2,29 +2,20 @@
 //
 // This translation unit is the one sanctioned home for raw SIMD
 // intrinsics (enforced by acdn_lint's raw-intrinsics rule). Every vector
-// body mirrors its scalar reference operation for operation — same IEEE
-// ops, same association order, no FMA — so each lane rounds identically
-// and the dispatch choice is invisible in the output. Tail elements
-// (lengths not a multiple of the vector width) always run the scalar
-// reference.
+// body computes exactly what its scalar reference computes, so the
+// dispatch choice is invisible in the output. Tail elements (lengths not
+// a multiple of the vector width) always run the scalar reference.
 //
-// Per-kernel target matrix (everything else falls back to scalar, which
-// is always bit-identical by definition):
+// Per-kernel target matrix (everything else falls back to scalar):
 //   is_sorted_u64        avx2, neon        (sse2 lacks unsigned 64-bit >)
 //   run_starts_u64       sse2, avx2, neon
 //   pack_group_target    sse2, avx2, neon
-//   base_rtt_batch       sse2, avx2        (fp on neon: see header)
-//   diurnal_batch        avx2
-//   haversine_batch      avx2
-//   haversine_pairs      avx2
 
 #include "common/simd.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <numbers>
 #include <string_view>
 
 #include "common/check.h"
@@ -43,9 +34,6 @@
 namespace acdn::simd {
 
 namespace {
-
-constexpr double kPi = std::numbers::pi;
-constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 // ---------------------------------------------------------------------
 // Capability detection and dispatch resolution.
@@ -178,64 +166,6 @@ std::uint32_t pack_group_target_scalar(std::span<const std::uint32_t> group,
   return overflow;
 }
 
-void base_rtt_scalar(std::span<const double> km,
-                     std::span<const std::int32_t> as_hops,
-                     std::span<const double> last_mile_ms, double km_per_rtt_ms,
-                     double per_as_hop_ms, std::span<double> out,
-                     std::size_t begin) {
-  for (std::size_t i = begin; i < km.size(); ++i) {
-    out[i] = km[i] / km_per_rtt_ms +
-             per_as_hop_ms * static_cast<double>(as_hops[i]) +
-             last_mile_ms[i];
-  }
-}
-
-void diurnal_scalar(std::span<const double> hour, double peak_hour,
-                    double amplitude, std::span<double> out,
-                    std::size_t begin) {
-  for (std::size_t i = begin; i < hour.size(); ++i) {
-    const double phase = kTwoPi * (hour[i] - peak_hour) / 24.0;
-    out[i] = 1.0 + amplitude * std::cos(phase);
-  }
-}
-
-void haversine_scalar(double lat0_deg, double lon0_deg,
-                      std::span<const double> lat_deg,
-                      std::span<const double> lon_deg, double two_radius_km,
-                      std::span<double> out_km, std::size_t begin) {
-  // cos(phi1) is the same bits every iteration (same input), so hoisting
-  // it matches haversine_km's per-call computation exactly.
-  const double phi1 = lat0_deg * kPi / 180.0;
-  const double cphi1 = std::cos(phi1);
-  for (std::size_t i = begin; i < lat_deg.size(); ++i) {
-    const double phi2 = lat_deg[i] * kPi / 180.0;
-    const double dphi = (lat_deg[i] - lat0_deg) * kPi / 180.0;
-    const double dlam = (lon_deg[i] - lon0_deg) * kPi / 180.0;
-    const double s = std::sin(dphi / 2.0);
-    const double t = std::sin(dlam / 2.0);
-    const double h = s * s + cphi1 * std::cos(phi2) * t * t;
-    out_km[i] = two_radius_km * std::asin(std::min(1.0, std::sqrt(h)));
-  }
-}
-
-void haversine_pairs_scalar(std::span<const double> lat_a,
-                            std::span<const double> lon_a,
-                            std::span<const double> lat_b,
-                            std::span<const double> lon_b,
-                            double two_radius_km, std::span<double> out_km,
-                            std::size_t begin) {
-  for (std::size_t i = begin; i < lat_a.size(); ++i) {
-    const double phi1 = lat_a[i] * kPi / 180.0;
-    const double phi2 = lat_b[i] * kPi / 180.0;
-    const double dphi = (lat_b[i] - lat_a[i]) * kPi / 180.0;
-    const double dlam = (lon_b[i] - lon_a[i]) * kPi / 180.0;
-    const double s = std::sin(dphi / 2.0);
-    const double t = std::sin(dlam / 2.0);
-    const double h = s * s + std::cos(phi1) * std::cos(phi2) * t * t;
-    out_km[i] = two_radius_km * std::asin(std::min(1.0, std::sqrt(h)));
-  }
-}
-
 // ---------------------------------------------------------------------
 // x86 kernels.
 // ---------------------------------------------------------------------
@@ -301,30 +231,6 @@ std::uint32_t pack_group_target_sse2(std::span<const std::uint32_t> group,
   _mm_store_si128(reinterpret_cast<__m128i*>(acc), overflow);
   return (acc[0] | acc[1] | acc[2] | acc[3]) |
          pack_group_target_scalar(group, anycast, fe, out, i);
-}
-
-void base_rtt_sse2(std::span<const double> km,
-                   std::span<const std::int32_t> as_hops,
-                   std::span<const double> last_mile_ms, double km_per_rtt_ms,
-                   double per_as_hop_ms, std::span<double> out) {
-  const std::size_t n = km.size();
-  const __m128d vkmper = _mm_set1_pd(km_per_rtt_ms);
-  const __m128d vperhop = _mm_set1_pd(per_as_hop_ms);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d vkm = _mm_loadu_pd(km.data() + i);
-    const __m128i vhops32 = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i*>(as_hops.data() + i));
-    const __m128d vhops = _mm_cvtepi32_pd(vhops32);
-    const __m128d vlm = _mm_loadu_pd(last_mile_ms.data() + i);
-    const __m128d r =
-        _mm_add_pd(_mm_add_pd(_mm_div_pd(vkm, vkmper),
-                              _mm_mul_pd(vperhop, vhops)),
-                   vlm);
-    _mm_storeu_pd(out.data() + i, r);
-  }
-  base_rtt_scalar(km, as_hops, last_mile_ms, km_per_rtt_ms, per_as_hop_ms, out,
-                  i);
 }
 
 // ---- AVX2 (runtime-gated; compiled with a per-function target).
@@ -408,118 +314,10 @@ __attribute__((target("avx2"))) std::uint32_t pack_group_target_avx2(
          pack_group_target_scalar(group, anycast, fe, out, i);
 }
 
-__attribute__((target("avx2"))) void base_rtt_avx2(
-    std::span<const double> km, std::span<const std::int32_t> as_hops,
-    std::span<const double> last_mile_ms, double km_per_rtt_ms,
-    double per_as_hop_ms, std::span<double> out) {
-  const std::size_t n = km.size();
-  const __m256d vkmper = _mm256_set1_pd(km_per_rtt_ms);
-  const __m256d vperhop = _mm256_set1_pd(per_as_hop_ms);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vkm = _mm256_loadu_pd(km.data() + i);
-    const __m128i vhops32 = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(as_hops.data() + i));
-    const __m256d vhops = _mm256_cvtepi32_pd(vhops32);
-    const __m256d vlm = _mm256_loadu_pd(last_mile_ms.data() + i);
-    const __m256d r =
-        _mm256_add_pd(_mm256_add_pd(_mm256_div_pd(vkm, vkmper),
-                                    _mm256_mul_pd(vperhop, vhops)),
-                      vlm);
-    _mm256_storeu_pd(out.data() + i, r);
-  }
-  base_rtt_scalar(km, as_hops, last_mile_ms, km_per_rtt_ms, per_as_hop_ms, out,
-                  i);
-}
-
-__attribute__((target("avx2"))) void diurnal_avx2(std::span<const double> hour,
-                                                  double peak_hour,
-                                                  double amplitude,
-                                                  std::span<double> out) {
-  const std::size_t n = hour.size();
-  const __m256d v2pi = _mm256_set1_pd(kTwoPi);
-  const __m256d v24 = _mm256_set1_pd(24.0);
-  const __m256d v1 = _mm256_set1_pd(1.0);
-  const __m256d vpeak = _mm256_set1_pd(peak_hour);
-  const __m256d vamp = _mm256_set1_pd(amplitude);
-  alignas(32) double lanes[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vh = _mm256_loadu_pd(hour.data() + i);
-    const __m256d vphase =
-        _mm256_div_pd(_mm256_mul_pd(v2pi, _mm256_sub_pd(vh, vpeak)), v24);
-    _mm256_store_pd(lanes, vphase);
-    for (double& lane : lanes) lane = std::cos(lane);
-    const __m256d vcos = _mm256_load_pd(lanes);
-    _mm256_storeu_pd(out.data() + i,
-                     _mm256_add_pd(v1, _mm256_mul_pd(vamp, vcos)));
-  }
-  diurnal_scalar(hour, peak_hour, amplitude, out, i);
-}
-
-/// Shared AVX2 haversine body: origin lanes either broadcast (fixed
-/// origin) or loaded per lane (pairs). The libm calls run scalar on
-/// stored lanes; everything around them is packed mul/add/div/sqrt/min,
-/// all correctly rounded per lane.
-__attribute__((target("avx2"))) void haversine_core_avx2(
-    const double* lat_a, const double* lon_a, bool a_fixed,
-    const double* lat_b, const double* lon_b, double two_radius_km,
-    double* out_km, std::size_t n, std::size_t* done) {
-  const __m256d vpi = _mm256_set1_pd(kPi);
-  const __m256d v180 = _mm256_set1_pd(180.0);
-  const __m256d v2 = _mm256_set1_pd(2.0);
-  const __m256d v1 = _mm256_set1_pd(1.0);
-  const __m256d vscale = _mm256_set1_pd(two_radius_km);
-  alignas(32) double ls[4];
-  alignas(32) double lt[4];
-  alignas(32) double lc1[4];
-  alignas(32) double lc2[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vlat_a =
-        a_fixed ? _mm256_set1_pd(lat_a[0]) : _mm256_loadu_pd(lat_a + i);
-    const __m256d vlon_a =
-        a_fixed ? _mm256_set1_pd(lon_a[0]) : _mm256_loadu_pd(lon_a + i);
-    const __m256d vlat_b = _mm256_loadu_pd(lat_b + i);
-    const __m256d vlon_b = _mm256_loadu_pd(lon_b + i);
-    const __m256d vphi1 = _mm256_div_pd(_mm256_mul_pd(vlat_a, vpi), v180);
-    const __m256d vphi2 = _mm256_div_pd(_mm256_mul_pd(vlat_b, vpi), v180);
-    const __m256d vdphi = _mm256_div_pd(
-        _mm256_mul_pd(_mm256_sub_pd(vlat_b, vlat_a), vpi), v180);
-    const __m256d vdlam = _mm256_div_pd(
-        _mm256_mul_pd(_mm256_sub_pd(vlon_b, vlon_a), vpi), v180);
-    _mm256_store_pd(ls, _mm256_div_pd(vdphi, v2));
-    _mm256_store_pd(lt, _mm256_div_pd(vdlam, v2));
-    _mm256_store_pd(lc1, vphi1);
-    _mm256_store_pd(lc2, vphi2);
-    for (int lane = 0; lane < 4; ++lane) {
-      ls[lane] = std::sin(ls[lane]);
-      lt[lane] = std::sin(lt[lane]);
-      lc1[lane] = std::cos(lc1[lane]);
-      lc2[lane] = std::cos(lc2[lane]);
-    }
-    const __m256d vs = _mm256_load_pd(ls);
-    const __m256d vt = _mm256_load_pd(lt);
-    const __m256d vc1 = _mm256_load_pd(lc1);
-    const __m256d vc2 = _mm256_load_pd(lc2);
-    // h = s*s + ((c1*c2)*t)*t — haversine_km's association order.
-    const __m256d vh = _mm256_add_pd(
-        _mm256_mul_pd(vs, vs),
-        _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(vc1, vc2), vt), vt));
-    // min(1.0, sqrt(h)): minpd(a, 1) returns a when a < 1, else 1 —
-    // exactly std::min's (b < a ? b : a) with a = 1.
-    const __m256d vclamped = _mm256_min_pd(_mm256_sqrt_pd(vh), v1);
-    _mm256_store_pd(ls, vclamped);
-    for (double& lane : ls) lane = std::asin(lane);
-    _mm256_storeu_pd(out_km + i, _mm256_mul_pd(vscale, _mm256_load_pd(ls)));
-  }
-  *done = i;
-}
-
 #endif  // ACDN_SIMD_X86
 
 // ---------------------------------------------------------------------
-// NEON kernels (aarch64 baseline; integer kernels only — see header).
+// NEON kernels (aarch64 baseline).
 // ---------------------------------------------------------------------
 
 #if defined(ACDN_SIMD_NEON_TARGET)
@@ -701,135 +499,6 @@ std::uint32_t pack_group_target(std::span<const std::uint32_t> group,
                                 std::span<const std::uint32_t> fe,
                                 std::span<std::uint64_t> out) {
   return pack_group_target_at(active(), group, anycast, fe, out);
-}
-
-void base_rtt_batch_at(Dispatch d, std::span<const double> km,
-                       std::span<const std::int32_t> as_hops,
-                       std::span<const double> last_mile_ms,
-                       double km_per_rtt_ms, double per_as_hop_ms,
-                       std::span<double> out) {
-  check_dispatch(d);
-  ACDN_CHECK_EQ(km.size(), as_hops.size());
-  ACDN_CHECK_EQ(km.size(), last_mile_ms.size());
-  ACDN_CHECK_EQ(km.size(), out.size());
-  switch (d) {
-#if defined(ACDN_SIMD_X86)
-    case Dispatch::kSse2:
-      base_rtt_sse2(km, as_hops, last_mile_ms, km_per_rtt_ms, per_as_hop_ms,
-                    out);
-      return;
-    case Dispatch::kAvx2:
-      base_rtt_avx2(km, as_hops, last_mile_ms, km_per_rtt_ms, per_as_hop_ms,
-                    out);
-      return;
-#endif
-    default:
-      base_rtt_scalar(km, as_hops, last_mile_ms, km_per_rtt_ms, per_as_hop_ms,
-                      out, 0);
-      return;
-  }
-}
-
-void base_rtt_batch(std::span<const double> km,
-                    std::span<const std::int32_t> as_hops,
-                    std::span<const double> last_mile_ms, double km_per_rtt_ms,
-                    double per_as_hop_ms, std::span<double> out) {
-  base_rtt_batch_at(active(), km, as_hops, last_mile_ms, km_per_rtt_ms,
-                    per_as_hop_ms, out);
-}
-
-void diurnal_batch_at(Dispatch d, std::span<const double> hour,
-                      double peak_hour, double amplitude,
-                      std::span<double> out) {
-  check_dispatch(d);
-  ACDN_CHECK_EQ(hour.size(), out.size());
-  switch (d) {
-#if defined(ACDN_SIMD_X86)
-    case Dispatch::kAvx2:
-      diurnal_avx2(hour, peak_hour, amplitude, out);
-      return;
-#endif
-    default:
-      diurnal_scalar(hour, peak_hour, amplitude, out, 0);
-      return;
-  }
-}
-
-void diurnal_batch(std::span<const double> hour, double peak_hour,
-                   double amplitude, std::span<double> out) {
-  diurnal_batch_at(active(), hour, peak_hour, amplitude, out);
-}
-
-void haversine_batch_at(Dispatch d, double lat0_deg, double lon0_deg,
-                        std::span<const double> lat_deg,
-                        std::span<const double> lon_deg, double two_radius_km,
-                        std::span<double> out_km) {
-  check_dispatch(d);
-  ACDN_CHECK_EQ(lat_deg.size(), lon_deg.size());
-  ACDN_CHECK_EQ(lat_deg.size(), out_km.size());
-  switch (d) {
-#if defined(ACDN_SIMD_X86)
-    case Dispatch::kAvx2: {
-      std::size_t done = 0;
-      haversine_core_avx2(&lat0_deg, &lon0_deg, /*a_fixed=*/true,
-                          lat_deg.data(), lon_deg.data(), two_radius_km,
-                          out_km.data(), lat_deg.size(), &done);
-      haversine_scalar(lat0_deg, lon0_deg, lat_deg, lon_deg, two_radius_km,
-                       out_km, done);
-      return;
-    }
-#endif
-    default:
-      haversine_scalar(lat0_deg, lon0_deg, lat_deg, lon_deg, two_radius_km,
-                       out_km, 0);
-      return;
-  }
-}
-
-void haversine_batch(double lat0_deg, double lon0_deg,
-                     std::span<const double> lat_deg,
-                     std::span<const double> lon_deg, double two_radius_km,
-                     std::span<double> out_km) {
-  haversine_batch_at(active(), lat0_deg, lon0_deg, lat_deg, lon_deg,
-                     two_radius_km, out_km);
-}
-
-void haversine_pairs_batch_at(Dispatch d, std::span<const double> lat_a,
-                              std::span<const double> lon_a,
-                              std::span<const double> lat_b,
-                              std::span<const double> lon_b,
-                              double two_radius_km, std::span<double> out_km) {
-  check_dispatch(d);
-  ACDN_CHECK_EQ(lat_a.size(), lon_a.size());
-  ACDN_CHECK_EQ(lat_a.size(), lat_b.size());
-  ACDN_CHECK_EQ(lat_a.size(), lon_b.size());
-  ACDN_CHECK_EQ(lat_a.size(), out_km.size());
-  switch (d) {
-#if defined(ACDN_SIMD_X86)
-    case Dispatch::kAvx2: {
-      std::size_t done = 0;
-      haversine_core_avx2(lat_a.data(), lon_a.data(), /*a_fixed=*/false,
-                          lat_b.data(), lon_b.data(), two_radius_km,
-                          out_km.data(), lat_a.size(), &done);
-      haversine_pairs_scalar(lat_a, lon_a, lat_b, lon_b, two_radius_km, out_km,
-                             done);
-      return;
-    }
-#endif
-    default:
-      haversine_pairs_scalar(lat_a, lon_a, lat_b, lon_b, two_radius_km, out_km,
-                             0);
-      return;
-  }
-}
-
-void haversine_pairs_batch(std::span<const double> lat_a,
-                           std::span<const double> lon_a,
-                           std::span<const double> lat_b,
-                           std::span<const double> lon_b, double two_radius_km,
-                           std::span<double> out_km) {
-  haversine_pairs_batch_at(active(), lat_a, lon_a, lat_b, lon_b, two_radius_km,
-                           out_km);
 }
 
 }  // namespace acdn::simd

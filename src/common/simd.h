@@ -1,22 +1,13 @@
 // Runtime-dispatched SIMD kernels for the measurement pipeline.
 //
-// Policy: *elementwise kernels only*. Every kernel here computes
-// out[i] = f(in[i]) lane by lane in the same IEEE operation order as its
-// scalar reference, so the vector and scalar paths are bit-identical and
-// golden digests cannot depend on which dispatch ran. Order-sensitive
-// floating-point reductions (sums, folds) are explicitly out of scope —
-// they stay on the executor's deterministic chunk-ordered fold trees.
-// Bitwise reductions (the OR-accumulated validation masks below) are
-// exactly associative and therefore allowed.
-//
-// Bit-identity argument: this repo builds without -march flags, so x86
-// code is baseline x86-64 — no FMA instruction exists and a*b+c cannot
-// contract; SSE2/AVX2 packed mul/add/div/sqrt round identically to their
-// scalar counterparts. Kernels never use FMA intrinsics, and libm calls
-// (sin/cos/asin) run scalar per lane on every path. On aarch64, where
-// baseline FMA makes scalar contraction compiler-dependent, the
-// floating-point kernels route to scalar; NEON covers the integer
-// kernels only.
+// Policy: *integer elementwise kernels only* — the sortedness check,
+// run-boundary detection and the aggregation key pack on the join and
+// aggregate path. Every kernel computes exactly what its scalar reference
+// computes, so golden digests cannot depend on which dispatch ran.
+// Bitwise reductions (the OR-accumulated validation mask below) are
+// exactly associative and therefore allowed. Floating-point code stays
+// scalar: its callers are set-up paths dominated by libm trig, which
+// would run scalar per lane anyway, so vector bodies save nothing.
 //
 // Dispatch is selected once, race-free (C++11 magic static), from CPUID
 // capped by the ACDN_SIMD environment variable:
@@ -52,8 +43,7 @@ Dispatch active();
 /// scalar first. Bit-identity sweeps iterate this list.
 std::span<const Dispatch> available();
 
-// ---- Kernels (auto dispatch). Contracts: spans of equal length; float
-// ---- inputs finite (NaN/inf excluded by the callers' data model);
+// ---- Kernels (auto dispatch). Contracts: spans of equal length;
 // ---- lengths bounded by UINT32_MAX where u32 indices are produced.
 
 /// True when keys[i] <= keys[i+1] for all i (ascending, duplicates ok).
@@ -75,38 +65,6 @@ std::uint32_t pack_group_target(std::span<const std::uint32_t> group,
                                 std::span<const std::uint32_t> fe,
                                 std::span<std::uint64_t> out);
 
-/// Batch of RttModel::base_rtt: out[i] = km[i] / km_per_rtt_ms
-/// + per_as_hop_ms * as_hops[i] + last_mile_ms[i], in exactly that
-/// association order.
-void base_rtt_batch(std::span<const double> km,
-                    std::span<const std::int32_t> as_hops,
-                    std::span<const double> last_mile_ms, double km_per_rtt_ms,
-                    double per_as_hop_ms, std::span<double> out);
-
-/// Batch of RttModel::diurnal_factor: out[i] = 1 + amplitude *
-/// cos(2*pi*(hour[i] - peak_hour)/24). The cosine runs scalar per lane.
-void diurnal_batch(std::span<const double> hour, double peak_hour,
-                   double amplitude, std::span<double> out);
-
-/// Batch haversine, one fixed origin: out_km[i] = the exact operation
-/// sequence of geo/geo_point.h's haversine_km({lat0,lon0},
-/// {lat[i],lon[i]}). `two_radius_km` is 2*R (exact: doubling never
-/// rounds), kept a parameter so common stays below geo in the layer
-/// DAG. Trig runs scalar per lane; the surrounding mul/add/sqrt/min
-/// algebra vectorizes bit-identically.
-void haversine_batch(double lat0_deg, double lon0_deg,
-                     std::span<const double> lat_deg,
-                     std::span<const double> lon_deg, double two_radius_km,
-                     std::span<double> out_km);
-
-/// Pairwise haversine: out_km[i] = haversine_km({lat_a[i],lon_a[i]},
-/// {lat_b[i],lon_b[i]}), both endpoints varying per lane.
-void haversine_pairs_batch(std::span<const double> lat_a,
-                           std::span<const double> lon_a,
-                           std::span<const double> lat_b,
-                           std::span<const double> lon_b,
-                           double two_radius_km, std::span<double> out_km);
-
 // ---- Explicit-dispatch variants for the bit-identity test sweep. `d`
 // ---- must come from available(); anything else fails a check.
 
@@ -118,22 +76,5 @@ std::uint32_t pack_group_target_at(Dispatch d,
                                    std::span<const std::uint8_t> anycast,
                                    std::span<const std::uint32_t> fe,
                                    std::span<std::uint64_t> out);
-void base_rtt_batch_at(Dispatch d, std::span<const double> km,
-                       std::span<const std::int32_t> as_hops,
-                       std::span<const double> last_mile_ms,
-                       double km_per_rtt_ms, double per_as_hop_ms,
-                       std::span<double> out);
-void diurnal_batch_at(Dispatch d, std::span<const double> hour,
-                      double peak_hour, double amplitude,
-                      std::span<double> out);
-void haversine_batch_at(Dispatch d, double lat0_deg, double lon0_deg,
-                        std::span<const double> lat_deg,
-                        std::span<const double> lon_deg, double two_radius_km,
-                        std::span<double> out_km);
-void haversine_pairs_batch_at(Dispatch d, std::span<const double> lat_a,
-                              std::span<const double> lon_a,
-                              std::span<const double> lat_b,
-                              std::span<const double> lon_b,
-                              double two_radius_km, std::span<double> out_km);
 
 }  // namespace acdn::simd

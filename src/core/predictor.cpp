@@ -46,7 +46,7 @@ Milliseconds HistoryPredictor::metric_value(
 void HistoryPredictor::train(const MeasurementColumns& columns) {
   const PhaseSpan train_phase("predictor.train");
   const ScopedTimer train_timer("predictor.train_ms");
-  score(DayAggregates::build(columns, config_.grouping, config_.threads));
+  score(DayAggregates::build(columns, config_.grouping));
 }
 
 void HistoryPredictor::train(const DayAggregates& aggregates) {
@@ -61,8 +61,7 @@ void HistoryPredictor::train(
     std::span<const BeaconMeasurement> measurements) {
   const PhaseSpan train_phase("predictor.train");
   const ScopedTimer train_timer("predictor.train_ms");
-  score(DayAggregates::build(measurements, config_.grouping,
-                             config_.threads));
+  score(DayAggregates::build(measurements, config_.grouping));
 }
 
 void HistoryPredictor::score(const DayAggregates& agg) {

@@ -1,9 +1,10 @@
 #include "geo/geo_point.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
-#include "common/simd.h"
+#include "common/check.h"
 
 namespace acdn {
 
@@ -41,19 +42,20 @@ Kilometers haversine_km(const GeoPoint& a, const GeoPoint& b) {
 void haversine_km_batch(const GeoPoint& origin, std::span<const double> lat_deg,
                         std::span<const double> lon_deg,
                         std::span<Kilometers> out_km) {
-  // 2R is exact (doubling a double never rounds), so the kernel's
-  // (2R) * asin(...) product is the same operation the scalar path runs.
-  simd::haversine_batch(origin.lat_deg, origin.lon_deg, lat_deg, lon_deg,
-                        2.0 * kEarthRadiusKm, out_km);
-}
-
-void haversine_km_pairs(std::span<const double> lat_a,
-                        std::span<const double> lon_a,
-                        std::span<const double> lat_b,
-                        std::span<const double> lon_b,
-                        std::span<Kilometers> out_km) {
-  simd::haversine_pairs_batch(lat_a, lon_a, lat_b, lon_b,
-                              2.0 * kEarthRadiusKm, out_km);
+  ACDN_CHECK_EQ(lat_deg.size(), lon_deg.size());
+  ACDN_CHECK_EQ(lat_deg.size(), out_km.size());
+  // haversine_km's operations in its order; cos(phi1) is the same bits on
+  // every iteration, so hoisting it changes nothing.
+  const double cos_phi1 = std::cos(rad(origin.lat_deg));
+  for (std::size_t i = 0; i < lat_deg.size(); ++i) {
+    const double phi2 = rad(lat_deg[i]);
+    const double dphi = rad(lat_deg[i] - origin.lat_deg);
+    const double dlam = rad(lon_deg[i] - origin.lon_deg);
+    const double s = std::sin(dphi / 2.0);
+    const double t = std::sin(dlam / 2.0);
+    const double h = s * s + cos_phi1 * std::cos(phi2) * t * t;
+    out_km[i] = 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
+  }
 }
 
 double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b) {

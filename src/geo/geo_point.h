@@ -35,18 +35,12 @@ struct GeoPoint {
 /// Great-circle distance in kilometers (haversine, mean Earth radius).
 [[nodiscard]] Kilometers haversine_km(const GeoPoint& a, const GeoPoint& b);
 
-/// Batch haversine from one fixed origin to coordinate columns, through
-/// the common/simd.h dispatch kernels. Bit-identical per element to
-/// haversine_km on every dispatch target. Spans must match in size.
+/// haversine_km from one fixed origin to each point of coordinate
+/// columns: a scalar loop that computes the origin's cosine once, with
+/// every element bit-identical to haversine_km(origin, {lat, lon}).
+/// Spans must match in size.
 void haversine_km_batch(const GeoPoint& origin, std::span<const double> lat_deg,
                         std::span<const double> lon_deg,
-                        std::span<Kilometers> out_km);
-
-/// Batch haversine over paired coordinate columns (a[i] to b[i]).
-void haversine_km_pairs(std::span<const double> lat_a,
-                        std::span<const double> lon_a,
-                        std::span<const double> lat_b,
-                        std::span<const double> lon_b,
                         std::span<Kilometers> out_km);
 
 /// Initial bearing from `a` to `b` in degrees clockwise from north, [0, 360).

@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "common/error.h"
-#include "common/simd.h"
 
 namespace acdn {
 
@@ -26,23 +25,6 @@ Milliseconds RttModel::base_rtt(Kilometers one_way_path_km, int as_hops,
   require(one_way_path_km >= 0.0, "negative path length");
   return one_way_path_km / config_.km_per_rtt_ms +
          config_.per_as_hop_ms * as_hops + last_mile_ms;
-}
-
-void RttModel::base_rtt_batch(std::span<const Kilometers> one_way_path_km,
-                              std::span<const std::int32_t> as_hops,
-                              std::span<const Milliseconds> last_mile_ms,
-                              std::span<Milliseconds> out) const {
-  for (const Kilometers km : one_way_path_km) {
-    require(km >= 0.0, "negative path length");
-  }
-  simd::base_rtt_batch(one_way_path_km, as_hops, last_mile_ms,
-                       config_.km_per_rtt_ms, config_.per_as_hop_ms, out);
-}
-
-void RttModel::diurnal_factor_batch(std::span<const double> hour_of_day,
-                                    std::span<double> out) const {
-  simd::diurnal_batch(hour_of_day, config_.peak_hour,
-                      config_.diurnal_amplitude, out);
 }
 
 Milliseconds RttModel::sample(Milliseconds base, const SimTime& t,

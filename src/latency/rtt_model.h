@@ -10,9 +10,6 @@
 //     additive congestion spikes per sample.
 #pragma once
 
-#include <cstdint>
-#include <span>
-
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "common/types.h"
@@ -59,14 +56,6 @@ class RttModel {
   [[nodiscard]] Milliseconds base_rtt(Kilometers one_way_path_km, int as_hops,
                                       Milliseconds last_mile_ms) const;
 
-  /// Elementwise base_rtt over parallel path columns, through the
-  /// common/simd.h dispatch kernels — bit-identical per lane to the
-  /// scalar base_rtt on every dispatch target. Spans must match in size.
-  void base_rtt_batch(std::span<const Kilometers> one_way_path_km,
-                      std::span<const std::int32_t> as_hops,
-                      std::span<const Milliseconds> last_mile_ms,
-                      std::span<Milliseconds> out) const;
-
   /// One measured sample around `base` at simulated time `t`.
   [[nodiscard]] Milliseconds sample(Milliseconds base, const SimTime& t,
                                     Rng& rng) const;
@@ -80,15 +69,6 @@ class RttModel {
   /// identical to sample(base, t, rng) when `diurnal == diurnal_factor(t)`.
   [[nodiscard]] Milliseconds sample_at(Milliseconds base, double diurnal,
                                        Rng& rng) const;
-
-  /// Elementwise diurnal_factor over an hour-of-day column (SimTime::
-  /// hour_of_day values), bit-identical per lane to the scalar path. The
-  /// simulation's day loop cannot use this — beacon times are drawn
-  /// interleaved with the beacon run's other draws, so batching would
-  /// reorder the rng stream — but offline consumers replaying recorded
-  /// timestamps can.
-  void diurnal_factor_batch(std::span<const double> hour_of_day,
-                            std::span<double> out) const;
 
   /// Draws a client /24's fixed last-mile RTT contribution from `mix`.
   [[nodiscard]] static Milliseconds draw_last_mile(const LastMileMix& mix,

@@ -68,7 +68,7 @@ DayStats Simulation::run_day() {
   std::vector<HttpLogEntry>& http_log =
       scratch_.buffer<HttpLogEntry>("sim.http_log");
   const DayStats stats = kernel_into(dns_log, http_log);
-  measurements_.join(dns_log, http_log, world_->config().simulation_threads);
+  measurements_.join(dns_log, http_log);
   return stats;
 }
 

@@ -57,7 +57,7 @@ class Simulation {
   [[nodiscard]] World& world() { return *world_; }
 
   /// Bytes of reusable day-loop scratch currently retained (this driver's
-  /// per-client buffers plus the store's join shards). Warm after the
+  /// per-client buffers plus the store's join scratch). Warm after the
   /// first day; steady across subsequent days of similar size.
   [[nodiscard]] std::size_t scratch_capacity_bytes() const {
     return scratch_.capacity_bytes() + measurements_.scratch_capacity_bytes();

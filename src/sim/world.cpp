@@ -1,5 +1,6 @@
 #include "sim/world.h"
 
+#include "common/check.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -75,14 +76,10 @@ void World::prepare_day(DayIndex day, int threads) {
 }
 
 World::DayRoute World::anycast_today(const Client24& client) const {
-  if (plan_->current_for(*dynamics_)) {
-    return plan_->route_for(client);
-  }
-  // A caller advanced dynamics without prepare_day (ad-hoc probes, tests
-  // that step dynamics by hand): answer from the uncached reference path,
-  // which needs no plan state and is safe from any thread.
-  metric_count("route_plan.stale_lookups");
-  return plan_->resolve_reference(client, *dynamics_);
+  ACDN_CHECK(plan_->current_for(*dynamics_))
+      << "anycast_today on a stale day plan: call prepare_day after "
+         "advancing route dynamics";
+  return plan_->route_for(client);
 }
 
 }  // namespace acdn

@@ -59,9 +59,8 @@ class World {
   /// (Simulation::run_day) calls this once per day before fanning out.
   void prepare_day(DayIndex day, int threads);
 
-  /// O(1) when the plan is current (prepare_day ran for the dynamics'
-  /// present state); otherwise falls back to uncached per-client
-  /// resolution and counts route_plan.stale_lookups.
+  /// O(1) lookup in the day plan. The plan must be current: prepare_day
+  /// ran for the dynamics' present state (an ACDN_CHECK dies otherwise).
   [[nodiscard]] DayRoute anycast_today(const Client24& client) const;
 
   [[nodiscard]] const DayRoutePlan& day_plan() const { return *plan_; }

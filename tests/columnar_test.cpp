@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "beacon/columns.h"
@@ -227,18 +230,56 @@ std::vector<std::vector<BeaconMeasurement>> reference_join(
   return by_day;
 }
 
-void expect_join_matches_reference(const Logs& logs) {
-  const auto expected = reference_join(logs.dns, logs.http);
-  for (int threads : {1, 2, 3, 7, 16}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    MeasurementStore store;
-    store.join(logs.dns, logs.http, threads);
-    ASSERT_EQ(std::size_t(store.days()), expected.size());
-    for (DayIndex d = 0; d < store.days(); ++d) {
-      SCOPED_TRACE("day=" + std::to_string(d));
-      expect_measurements_eq(store.by_day(d), expected[std::size_t(d)]);
-    }
+/// `logs` stable-sorted by join key — DNS by url_id, HTTP by beacon id
+/// (url_id / 4) — the shape the day loop hands join(), which then skips
+/// the sort. Stability keeps each key's rows in log order.
+Logs sorted_copy(const Logs& logs) {
+  Logs out = logs;
+  std::stable_sort(out.dns.begin(), out.dns.end(),
+                   [](const DnsLogEntry& a, const DnsLogEntry& b) {
+                     return a.url_id < b.url_id;
+                   });
+  std::stable_sort(out.http.begin(), out.http.end(),
+                   [](const HttpLogEntry& a, const HttpLogEntry& b) {
+                     return a.url_id / 4 < b.url_id / 4;
+                   });
+  return out;
+}
+
+void expect_store_matches(
+    const MeasurementStore& store,
+    const std::vector<std::vector<BeaconMeasurement>>& expected) {
+  ASSERT_EQ(std::size_t(store.days()), expected.size());
+  for (DayIndex d = 0; d < store.days(); ++d) {
+    SCOPED_TRACE("day=" + std::to_string(d));
+    expect_measurements_eq(store.by_day(d), expected[std::size_t(d)]);
   }
+}
+
+void expect_join_matches_reference(const Logs& logs) {
+  MeasurementStore store;
+  store.join(logs.dns, logs.http);
+  expect_store_matches(store, reference_join(logs.dns, logs.http));
+}
+
+/// Column-for-column equality, RTTs and hours compared as raw bits.
+void expect_columns_bit_equal(const MeasurementColumns& a,
+                              const MeasurementColumns& b) {
+  EXPECT_EQ(a.beacon_id, b.beacon_id);
+  EXPECT_EQ(a.client, b.client);
+  EXPECT_EQ(a.ldns, b.ldns);
+  EXPECT_EQ(a.day, b.day);
+  EXPECT_EQ(a.target_begin, b.target_begin);
+  EXPECT_EQ(a.target_anycast, b.target_anycast);
+  EXPECT_EQ(a.target_front_end, b.target_front_end);
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    out.reserve(v.size());
+    for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  EXPECT_EQ(bits(a.hour), bits(b.hour));
+  EXPECT_EQ(bits(a.target_rtt), bits(b.target_rtt));
 }
 
 TEST(SortMergeJoin, MatchesReferenceJoinUniformDay) {
@@ -252,6 +293,20 @@ TEST(SortMergeJoin, MatchesReferenceJoinMixedDays) {
 TEST(SortMergeJoin, MatchesReferenceJoinSmallAndSparse) {
   // Few beacons relative to shard count: some shards stay empty.
   expect_join_matches_reference(make_random_logs(5, 0xabcd, 0, 1));
+}
+
+TEST(SortMergeJoin, PresortedLogsMatchReference) {
+  // Presorted logs take the sort-skip branch; they must join exactly as
+  // the original log order does.
+  for (const auto& [seed, day_hi] :
+       {std::pair<std::uint64_t, DayIndex>{0x5eed, 0}, {0xfeed, 2}}) {
+    SCOPED_TRACE("day_hi=" + std::to_string(day_hi));
+    const Logs logs = make_random_logs(300, seed, 0, day_hi);
+    const Logs sorted = sorted_copy(logs);
+    MeasurementStore store;
+    store.join(sorted.dns, sorted.http);
+    expect_store_matches(store, reference_join(logs.dns, logs.http));
+  }
 }
 
 TEST(SortMergeJoin, EmptyLogsProduceNoDays) {
@@ -330,6 +385,85 @@ TEST(SortMergeJoin, FaultDropAccountingBalancesPerDayAcrossThreads) {
           << "run " << run << " day " << d;
     }
   }
+}
+
+/// join.* and fault.fired.* counters of one join call.
+std::map<std::string, std::uint64_t> ledger_of(MeasurementStore& store,
+                                               const Logs& logs) {
+  auto c = join_counters(store, logs, 1);
+  std::erase_if(c, [](const auto& kv) {
+    return kv.first.rfind("join.", 0) != 0 &&
+           kv.first.rfind("fault.fired.", 0) != 0;
+  });
+  return c;
+}
+
+TEST(SortMergeJoin, SortedAndShuffledAgreeUnderFaults) {
+  // Drop on day 0, delay on day 1, corrupt on day 2, one batch per day.
+  // The shuffled logs take the radix-sort branch, their sorted copy the
+  // sort-skip branch; faults fire inside the one merge loop either way.
+  FaultSchedule schedule;
+  schedule.seed = 7;
+  schedule.rules = {{"beacon/store", FaultKind::kDrop, 0.3, 0, 0, 0.0},
+                    {"beacon/store", FaultKind::kDelay, 0.5, 1, 1, 25.0},
+                    {"beacon/store", FaultKind::kCorrupt, 0.5, 2, 2, 0.5}};
+  std::vector<Logs> shuffled;
+  std::vector<Logs> sorted;
+  for (std::uint64_t d = 0; d < 3; ++d) {
+    shuffled.push_back(
+        make_random_logs(400, 0xface + d, DayIndex(d), DayIndex(d)));
+    sorted.push_back(sorted_copy(shuffled.back()));
+  }
+
+  set_metrics_enabled(true);
+  const auto run = [&](const std::vector<Logs>& days, MeasurementStore& store) {
+    FailPointRegistry::global().arm(schedule);
+    std::vector<std::map<std::string, std::uint64_t>> per_day;
+    for (const Logs& logs : days) per_day.push_back(ledger_of(store, logs));
+    FailPointRegistry::global().disarm();
+    return per_day;
+  };
+  MeasurementStore from_shuffled;
+  MeasurementStore from_sorted;
+  const auto shuffled_ledger = run(shuffled, from_shuffled);
+  const auto sorted_ledger = run(sorted, from_sorted);
+  set_metrics_enabled(false);
+  MetricsRegistry::global().reset();
+
+  const auto v = [&](std::size_t day, const char* name) {
+    const auto it = shuffled_ledger[day].find(name);
+    return it == shuffled_ledger[day].end() ? std::uint64_t{0} : it->second;
+  };
+  ASSERT_EQ(shuffled_ledger.size(), 3u);
+  for (std::size_t d = 0; d < 3; ++d) {
+    SCOPED_TRACE("day=" + std::to_string(d));
+    EXPECT_EQ(shuffled_ledger[d], sorted_ledger[d]);
+    EXPECT_GT(v(d, "fault.fired.beacon/store"), 0u);
+  }
+  EXPECT_GT(v(0, "join.dropped_rows"), 0u);
+  EXPECT_EQ(v(1, "join.dropped_rows"), 0u);
+  EXPECT_EQ(v(2, "join.dropped_rows"), 0u);
+  ASSERT_EQ(from_shuffled.days(), 3);
+  ASSERT_EQ(from_sorted.days(), 3);
+  for (DayIndex d = 0; d < 3; ++d) {
+    SCOPED_TRACE("day=" + std::to_string(d));
+    expect_columns_bit_equal(from_shuffled.columns(d), from_sorted.columns(d));
+  }
+}
+
+TEST(SortMergeJoin, FullyDroppedDayStillMaterialises) {
+  // The day exists once a row joins, even when the fault drops every row.
+  FaultSchedule schedule;
+  schedule.seed = 1;
+  schedule.rules = {{"beacon/store", FaultKind::kDrop, 1.0, 0,
+                     kFaultWindowOpen, 0.0}};
+  const Logs logs = make_random_logs(50, 0xd0d0, 2, 2);
+  FailPointRegistry::global().arm(schedule);
+  MeasurementStore store;
+  store.join(logs.dns, logs.http);
+  FailPointRegistry::global().disarm();
+  EXPECT_EQ(store.days(), 3);
+  EXPECT_EQ(store.total(), 0u);
 }
 
 // -------------------------------------------------------------- arena reuse

@@ -4,8 +4,8 @@
 //   * For every client, every day, any thread count (1/2/8), and with an
 //     armed fault schedule, route_for == resolve_reference, field for
 //     field — the property that licenses the O(1) anycast_today lookup.
-//   * A caller that advances dynamics without prepare_day still gets
-//     correct answers from the stale-plan fallback.
+//   * A lookup after dynamics advanced without prepare_day dies instead
+//     of answering from the stale plan; prepare_day makes it valid again.
 //   * The client -> unit index groups exactly by (access AS, metro).
 //   * Base routes are resolved once: later days answer from the cache.
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/metrics.h"
 #include "sim/scenario.h"
 #include "sim/world.h"
 
@@ -79,17 +78,22 @@ TEST(DayPlan, LookupMatchesPerClientReferenceAcrossDaysAndThreads) {
 }
 
 TEST(DayPlan, StaleFallbackAnswersWithoutABuild) {
-  MetricsRegistry::global().reset();
-  set_metrics_enabled(true);
+  // The executor pool is live in this process: fork-and-reexec style.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ScenarioConfig config = ScenarioConfig::small_test();
   World world(config);
   world.prepare_day(0, 2);
 
-  // Advance dynamics behind the plan's back: the plan is now stale and
-  // anycast_today must fall back to uncached resolution, not answer from
-  // day 0's table.
+  // Advance dynamics behind the plan's back: the plan is now stale, and
+  // anycast_today must die rather than answer from day 0's table.
   world.dynamics().advance_to(3);
   EXPECT_FALSE(world.day_plan().current_for(world.dynamics()));
+  const Client24& first = world.clients().clients().front();
+  EXPECT_DEATH((void)world.anycast_today(first), "stale day plan");
+
+  // A prepare_day catches the plan back up; lookups are valid again.
+  world.prepare_day(3, 2);
+  EXPECT_TRUE(world.day_plan().current_for(world.dynamics()));
   for (const Client24& client : world.clients().clients()) {
     const DayRoute got = world.anycast_today(client);
     const DayRoute ref =
@@ -100,15 +104,6 @@ TEST(DayPlan, StaleFallbackAnswersWithoutABuild) {
     }
     ASSERT_EQ(got.alternate.has_value(), ref.alternate.has_value());
   }
-  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
-  const auto it = snap.counters.find("route_plan.stale_lookups");
-  ASSERT_NE(it, snap.counters.end());
-  EXPECT_EQ(it->second, world.clients().size());
-
-  // A prepare_day catches the plan back up; lookups are O(1) again.
-  world.prepare_day(3, 2);
-  EXPECT_TRUE(world.day_plan().current_for(world.dynamics()));
-  set_metrics_enabled(false);
 }
 
 TEST(DayPlan, UnitIndexGroupsClientsByAccessAsAndMetro) {

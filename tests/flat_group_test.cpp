@@ -1,63 +1,13 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/flat_group.h"
-#include "common/rng.h"
 
 namespace acdn {
 namespace {
-
-// ---------------------------------------------------------- parallel_sort
-
-struct Keyed {
-  std::uint32_t key = 0;
-  std::uint32_t seq = 0;
-
-  [[nodiscard]] bool operator==(const Keyed&) const = default;
-};
-
-std::vector<Keyed> random_keyed(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Keyed> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Few distinct keys: long duplicate runs stress the tie-breaker.
-    v.push_back(Keyed{std::uint32_t(rng.uniform_int(0, 99)),
-                      std::uint32_t(i)});
-  }
-  return v;
-}
-
-TEST(ParallelSort, MatchesSerialSortForAnyThreadCount) {
-  // Larger than one sort grain so the merge tree actually runs.
-  const std::size_t n = (kSortGrain * 5) / 2;
-  const auto less = [](const Keyed& a, const Keyed& b) {
-    return std::tie(a.key, a.seq) < std::tie(b.key, b.seq);
-  };
-  std::vector<Keyed> expected = random_keyed(n, 42);
-  std::sort(expected.begin(), expected.end(), less);
-
-  for (int threads : {1, 2, 5, 16}) {
-    std::vector<Keyed> v = random_keyed(n, 42);
-    parallel_sort(std::span<Keyed>(v), threads, less);
-    EXPECT_EQ(v, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelSort, EmptyAndSingleElement) {
-  std::vector<int> empty;
-  parallel_sort(std::span<int>(empty), 4);
-  EXPECT_TRUE(empty.empty());
-
-  std::vector<int> one{7};
-  parallel_sort(std::span<int>(one), 4);
-  EXPECT_EQ(one, std::vector<int>{7});
-}
 
 // ----------------------------------------------------------- for_each_run
 
@@ -84,22 +34,6 @@ TEST(ForEachRun, EmptySpanVisitsNothing) {
       std::span<const int>(v), [](int a, int b) { return a == b; },
       [&](acdn::Run) { ++calls; });
   EXPECT_EQ(calls, 0u);
-}
-
-TEST(SortGroupBy, GroupsAscending) {
-  std::vector<std::pair<int, int>> v{{3, 0}, {1, 1}, {3, 2}, {1, 3}};
-  std::vector<int> keys;
-  std::vector<std::size_t> sizes;
-  sort_group_by(
-      std::span<std::pair<int, int>>(v), 2,
-      [](const auto& a, const auto& b) { return a < b; },
-      [](const auto& a, const auto& b) { return a.first == b.first; },
-      [&](acdn::Run r) {
-        keys.push_back(v[r.begin].first);
-        sizes.push_back(r.size());
-      });
-  EXPECT_EQ(keys, (std::vector<int>{1, 3}));
-  EXPECT_EQ(sizes, (std::vector<std::size_t>{2, 2}));
 }
 
 // ---------------------------------------------------------------- FlatMap

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <vector>
 
-#include "common/parallel.h"
+#include "common/executor.h"
 #include "sim/simulation.h"
 #include "sim/world.h"
 
@@ -16,8 +16,8 @@ namespace {
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   for (int threads : {1, 2, 7}) {
     std::vector<std::atomic<int>> hits(101);
-    parallel_for(3, 101, threads,
-                 [&](std::size_t i) { hits[i].fetch_add(1); });
+    Executor::global().parallel_for(
+        3, 101, threads, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), (i >= 3 && i < 101) ? 1 : 0)
           << "i=" << i << " threads=" << threads;
@@ -27,9 +27,9 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
 
 TEST(ParallelFor, EmptyAndSingletonRanges) {
   int calls = 0;
-  parallel_for(5, 5, 4, [&](std::size_t) { ++calls; });
+  Executor::global().parallel_for(5, 5, 4, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallel_for(5, 6, 4, [&](std::size_t i) {
+  Executor::global().parallel_for(5, 6, 4, [&](std::size_t i) {
     ++calls;
     EXPECT_EQ(i, 5u);
   });
@@ -38,8 +38,9 @@ TEST(ParallelFor, EmptyAndSingletonRanges) {
 
 TEST(ParallelFor, MoreThreadsThanWork) {
   std::atomic<int> sum{0};
+  Executor& pool = Executor::global();
   // NOLINT-ACDN(parallel-fp-accum): atomic integer add is commutative
-  parallel_for(0, 3, 64, [&](std::size_t i) { sum += int(i); });
+  pool.parallel_for(0, 3, 64, [&](std::size_t i) { sum += int(i); });
   EXPECT_EQ(sum.load(), 3);
 }
 

@@ -1,8 +1,8 @@
 // Property tests for common/radix.h against std::stable_sort.
 //
 // The pipeline's determinism contract leans on radix_sort being *stable*
-// — that is what lets serial and chunk+merge parallel paths produce
-// byte-identical output without seq tie-breaker columns. Every test here
+// — that is what lets callers sort packed keys without seq tie-breaker
+// columns and still keep scan order among equal keys. Every test here
 // therefore compares against std::stable_sort on (key, original index)
 // pairs, not just sortedness.
 
@@ -36,7 +36,7 @@ std::vector<std::uint64_t> random_keys(std::size_t n, std::uint64_t seed,
 
 /// Checks radix_sort_pairs against std::stable_sort on an index payload:
 /// equal keys must keep their original relative order.
-void check_stable_pairs(std::vector<std::uint64_t> keys, int threads) {
+void check_stable_pairs(std::vector<std::uint64_t> keys) {
   std::vector<std::uint32_t> payload(keys.size());
   std::iota(payload.begin(), payload.end(), 0u);
 
@@ -51,7 +51,7 @@ void check_stable_pairs(std::vector<std::uint64_t> keys, int threads) {
                    });
 
   radix_sort_pairs(std::span<std::uint64_t>(keys),
-                   std::span<std::uint32_t>(payload), threads);
+                   std::span<std::uint32_t>(payload));
   ASSERT_EQ(keys.size(), expected.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(keys[i], expected[i].first) << "key mismatch at " << i;
@@ -60,59 +60,57 @@ void check_stable_pairs(std::vector<std::uint64_t> keys, int threads) {
   }
 }
 
-void check_keys_only(std::vector<std::uint64_t> keys, int threads) {
+void check_keys_only(std::vector<std::uint64_t> keys) {
   std::vector<std::uint64_t> expected = keys;
   std::sort(expected.begin(), expected.end());
-  radix_sort(std::span<std::uint64_t>(keys), threads);
+  radix_sort(std::span<std::uint64_t>(keys));
   EXPECT_EQ(keys, expected);
 }
 
 TEST(RadixSort, EmptyAndSingle) {
-  check_keys_only({}, 1);
-  check_keys_only({42}, 1);
-  check_stable_pairs({}, 4);
-  check_stable_pairs({7}, 4);
+  check_keys_only({});
+  check_keys_only({42});
+  check_stable_pairs({});
+  check_stable_pairs({7});
 }
 
 TEST(RadixSort, RandomKeysMatchStdSort) {
   for (const std::size_t n : {2u, 3u, 100u, 4096u, 70'000u}) {
     check_keys_only(
-        random_keys(n, 0x1234 + n, std::numeric_limits<std::uint64_t>::max()),
-        1);
+        random_keys(n, 0x1234 + n, std::numeric_limits<std::uint64_t>::max()));
   }
 }
 
 TEST(RadixSort, DuplicateHeavyKeysStaySorted) {
   // Only 16 distinct keys over 50k elements: most byte columns trivial.
-  check_keys_only(random_keys(50'000, 99, 0xf), 1);
-  check_stable_pairs(random_keys(50'000, 99, 0xf), 1);
+  check_keys_only(random_keys(50'000, 99, 0xf));
+  check_stable_pairs(random_keys(50'000, 99, 0xf));
 }
 
 TEST(RadixSort, AlreadySortedInput) {
   std::vector<std::uint64_t> keys(40'000);
   std::iota(keys.begin(), keys.end(), 0ull);
-  check_keys_only(keys, 1);
-  check_stable_pairs(keys, 2);
+  check_keys_only(keys);
+  check_stable_pairs(keys);
 }
 
 TEST(RadixSort, ReverseSortedInput) {
   std::vector<std::uint64_t> keys;
   for (std::uint64_t i = 40'000; i-- > 0;) keys.push_back(i);
-  check_keys_only(keys, 1);
-  check_stable_pairs(keys, 2);
+  check_keys_only(keys);
+  check_stable_pairs(keys);
 }
 
 TEST(RadixSort, AllEqualKeys) {
   std::vector<std::uint64_t> keys(10'000, 0xdeadbeefull);
-  check_stable_pairs(keys, 1);
-  check_stable_pairs(keys, 8);
+  check_stable_pairs(keys);
 }
 
 TEST(RadixSort, HighBytesOnly) {
   // Keys that differ only in the top byte exercise the skip-trivial-
   // column logic for every low byte.
-  check_keys_only(random_keys(10'000, 7, 0xff00000000000000ull), 1);
-  check_stable_pairs(random_keys(10'000, 7, 0xff00000000000000ull), 1);
+  check_keys_only(random_keys(10'000, 7, 0xff00000000000000ull));
+  check_stable_pairs(random_keys(10'000, 7, 0xff00000000000000ull));
 }
 
 TEST(RadixSort, PairsPermutationIsStableAcrossPayloadTypes) {
@@ -131,34 +129,11 @@ TEST(RadixSort, PairsPermutationIsStableAcrossPayloadTypes) {
     rows[i] = Row{static_cast<std::uint32_t>(i), float(i) * 0.5f};
     index[i] = static_cast<std::uint32_t>(i);
   }
-  radix_sort_pairs(std::span<std::uint64_t>(keys), std::span<Row>(rows), 1);
+  radix_sort_pairs(std::span<std::uint64_t>(keys), std::span<Row>(rows));
   radix_sort_pairs(std::span<std::uint64_t>(keys2),
-                   std::span<std::uint32_t>(index), 1);
+                   std::span<std::uint32_t>(index));
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(rows[i].index, index[i]) << "payload permutation diverged";
-  }
-}
-
-TEST(RadixSort, ThreadCountInvariance) {
-  // The headline determinism property: identical output for any thread
-  // count, serial path included, because stable output is a pure
-  // function of the input.
-  const std::vector<std::uint64_t> keys = random_keys(150'000, 31337, 0xffff);
-  std::vector<std::uint32_t> base_payload(keys.size());
-  std::iota(base_payload.begin(), base_payload.end(), 0u);
-
-  std::vector<std::uint64_t> ref_keys = keys;
-  std::vector<std::uint32_t> ref_payload = base_payload;
-  radix_sort_pairs(std::span<std::uint64_t>(ref_keys),
-                   std::span<std::uint32_t>(ref_payload), 1);
-
-  for (const int threads : {2, 3, 8}) {
-    std::vector<std::uint64_t> k = keys;
-    std::vector<std::uint32_t> p = base_payload;
-    radix_sort_pairs(std::span<std::uint64_t>(k),
-                     std::span<std::uint32_t>(p), threads);
-    EXPECT_EQ(k, ref_keys) << "threads=" << threads;
-    EXPECT_EQ(p, ref_payload) << "threads=" << threads;
   }
 }
 
@@ -169,12 +144,12 @@ TEST(RadixSort, ArenaScratchReuse) {
         random_keys(30'000, 17 + std::uint64_t(round), 0xffffff);
     std::vector<std::uint64_t> expected = keys;
     std::sort(expected.begin(), expected.end());
-    radix_sort(std::span<std::uint64_t>(keys), 2, &arena);
+    radix_sort(std::span<std::uint64_t>(keys), &arena);
     EXPECT_EQ(keys, expected);
   }
   const std::size_t warm = arena.capacity_bytes();
   std::vector<std::uint64_t> keys = random_keys(30'000, 3, 0xffffff);
-  radix_sort(std::span<std::uint64_t>(keys), 2, &arena);
+  radix_sort(std::span<std::uint64_t>(keys), &arena);
   EXPECT_EQ(arena.capacity_bytes(), warm) << "arena should stay warm";
 }
 

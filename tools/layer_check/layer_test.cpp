@@ -159,8 +159,8 @@ TEST(LayerCheck, DefaultConfigIsValid) {
 
 TEST(LayerCheck, BatchKernelHeadersFollowTheCommonEdges) {
   // The batch-kernel layer (common/radix.h, common/simd.h) is a leaf of
-  // the DAG: every pipeline layer that was rewired onto it reaches *down*
-  // to common, which needs no new edges.
+  // the DAG: every pipeline layer that sorts or packs keys with it
+  // reaches *down* to common, which needs no new edges.
   Checker checker(default_config());
   ASSERT_TRUE(checker.config_violations().empty())
       << dump(checker.config_violations());
@@ -169,14 +169,12 @@ TEST(LayerCheck, BatchKernelHeadersFollowTheCommonEdges) {
       "#include \"common/simd.h\"\n";
   for (const char* file :
        {"src/analysis/aggregate.cpp", "src/beacon/store.cpp",
-        "src/geo/geo_point.cpp", "src/latency/rtt_model.cpp",
-        "src/core/streaming.cpp"}) {
+        "src/beacon/beacon.cpp", "src/core/streaming.cpp"}) {
     const auto violations = checker.check_file(file, kernels);
     EXPECT_TRUE(violations.empty()) << file << "\n" << dump(violations);
   }
-  // And the kernels cannot reach back up: common including geo (say, for
-  // kEarthRadiusKm) would invert the DAG. That is why the haversine
-  // kernels take 2R as a parameter instead of naming the constant.
+  // And the kernels cannot reach back up: common including geo would
+  // invert the DAG.
   const auto upward = checker.check_file(
       "src/common/simd.cpp", "#include \"geo/geo_point.h\"\n");
   ASSERT_EQ(upward.size(), 1u) << dump(upward);

@@ -22,10 +22,9 @@
 #
 # Scaling gate: the same invocation also checks the large-scale thread
 # sweep — for each deterministic stage (join, aggregate), ns/row at 4
-# threads must not exceed ns/row at 1 thread by more than 10%. This is
-# the cost-model contract (common/cost_model.h): shard counts derive from
-# input size, so asking for more threads than the work supports falls
-# back to the serial path instead of paying fan-out overhead. The smoke
+# threads must not exceed ns/row at 1 thread by more than 10%. Both
+# stages now run serially at any thread request, so the two figures
+# time the same code path. The smoke
 # candidate only runs the small scale, so the sweep is read from
 # whichever input file carries it (the candidate when it is a full run,
 # else the committed reference — deterministic at gate time either way).
