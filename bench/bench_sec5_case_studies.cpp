@@ -40,15 +40,11 @@ int main() {
     // the anycast front-end is much farther than the closest one.
     const GeoPoint here = world.metros().metro(probe.metro).location;
     const auto& deployment = world.cdn().deployment();
-    const Kilometers to_served = haversine_km(
-        here,
-        world.metros().metro(deployment.site(trace.destination).metro)
-            .location);
-    const auto closest = deployment.nearest_sites(world.metros(), here, 1);
-    const Kilometers to_closest = haversine_km(
-        here,
-        world.metros().metro(deployment.site(closest.front()).metro)
-            .location);
+    const Kilometers to_served =
+        haversine_km(here, deployment.location(trace.destination));
+    const auto closest = deployment.nearest_sites(here, 1);
+    const Kilometers to_closest =
+        haversine_km(here, deployment.location(closest.front()));
     if (to_served - to_closest < 800.0) continue;
     ++poor;
 

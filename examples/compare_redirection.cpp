@@ -25,9 +25,8 @@ int main(int argc, char** argv) {
   World world(config);
 
   const AnycastPolicy anycast;
-  const GeoClosestPolicy geo(world.cdn().deployment(), world.metros(),
-                             world.ldns(), world.clients(),
-                             world.geolocation());
+  const GeoClosestPolicy geo(world.cdn().deployment(), world.ldns(),
+                             world.clients(), world.geolocation());
   PredictorConfig pc;
   pc.metric = PredictionMetric::kP25;
   pc.min_measurements = 20;

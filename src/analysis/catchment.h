@@ -32,10 +32,11 @@ struct CatchmentSummary {
   [[nodiscard]] int foreign_clients() const;
 };
 
-/// Catchments under the primary anycast routes (candidate 0). The
-/// per-client route resolutions run on the executor pool; partial
-/// accumulators combine in deterministic chunk order, so the summaries
-/// are bit-identical for any thread count.
+/// Catchments under the primary anycast routes (candidate 0). Each
+/// routing unit's route resolves once, on up to `threads` executor lanes
+/// (CdnRouter::route_anycast_units); per-client partial accumulators
+/// combine in deterministic chunk order, so the summaries are
+/// bit-identical for any thread count.
 [[nodiscard]] std::vector<CatchmentSummary> compute_catchments(
     const ClientPopulation& clients, const CdnRouter& router,
     const MetroDatabase& metros, int threads = 1);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -45,14 +44,16 @@ struct PassiveView {
   std::vector<Run> clients;
 };
 
-PassiveView passive_by_client(const PassiveLog& log, int days) {
+/// The passive log's days [first, end), grouped by client.
+PassiveView passive_by_client(const PassiveLog& log, DayIndex first,
+                              DayIndex end) {
   std::vector<PassiveRow> rows;
   {
     std::size_t total = 0;
-    for (DayIndex d = 0; d < days; ++d) total += log.by_day(d).size();
+    for (DayIndex d = first; d < end; ++d) total += log.by_day(d).size();
     rows.reserve(total);
   }
-  for (DayIndex d = 0; d < days; ++d) {
+  for (DayIndex d = first; d < end; ++d) {
     for (const PassiveLogEntry& e : log.by_day(d)) {
       rows.push_back(PassiveRow{e.client, d, e.front_end, e.queries});
     }
@@ -151,8 +152,8 @@ std::vector<DistributionBuilder> fig2_nth_closest_distances(
       [&](std::vector<DistributionBuilder>& shard, std::size_t i) {
         if (shard.empty()) shard.resize(static_cast<std::size_t>(n));
         const Client24& c = all[i];
-        const auto nearest = deployment.nearest_sites(
-            metros, c.location, static_cast<std::size_t>(n));
+        const auto nearest =
+            deployment.nearest_sites(c.location, static_cast<std::size_t>(n));
         for (std::size_t r = 0; r < nearest.size(); ++r) {
           shard[r].add(
               haversine_km(
@@ -195,27 +196,22 @@ Fig4Distances fig4_distances(const PassiveLog& log, DayIndex day,
                              const MetroDatabase& metros,
                              const GeolocationModel* geolocation,
                              int threads) {
-  // Dominant front-end per client that day.
-  std::map<ClientId, std::map<FrontEndId, double>> per_client;
-  for (const PassiveLogEntry& e : log.by_day(day)) {
-    per_client[e.client][e.front_end] += e.queries;
-  }
-  std::vector<const std::pair<const ClientId, std::map<FrontEndId, double>>*>
-      entries;
-  entries.reserve(per_client.size());
-  for (const auto& entry : per_client) entries.push_back(&entry);
+  // Dominant front-end per client that day: highest query volume, lowest
+  // id on ties (cells are front-end ascending within the client).
+  const PassiveView per_client = passive_by_client(log, day, day + 1);
 
   return Executor::global().parallel_reduce(
-      0, entries.size(), threads, kReduceGrain, Fig4Distances{},
+      0, per_client.clients.size(), threads, kReduceGrain, Fig4Distances{},
       [&](Fig4Distances& shard, std::size_t i) {
-        const Client24& client = clients.client(entries[i]->first);
-        const auto& fes = entries[i]->second;
-        FrontEndId dominant = fes.begin()->first;
-        double best_q = fes.begin()->second;
-        for (const auto& [fe, q] : fes) {
-          if (q > best_q) {
-            dominant = fe;
-            best_q = q;
+        const Run run = per_client.clients[i];
+        const PassiveCell& head = per_client.cells[run.begin];
+        const Client24& client = clients.client(head.client);
+        FrontEndId dominant = head.fe;
+        double best_q = head.queries;
+        for (std::size_t c = run.begin + 1; c < run.end; ++c) {
+          if (per_client.cells[c].queries > best_q) {
+            dominant = per_client.cells[c].fe;
+            best_q = per_client.cells[c].queries;
           }
         }
         // The analysis only knows where the geolocation database puts the
@@ -230,7 +226,7 @@ Fig4Distances fig4_distances(const PassiveLog& log, DayIndex day,
               where, metros.metro(deployment.site(fe).metro).location);
         };
         const Kilometers to_fe = fe_distance(dominant);
-        const auto closest = deployment.nearest_sites(metros, where, 1);
+        const auto closest = deployment.nearest_sites(where, 1);
         require(!closest.empty(), "deployment has no sites");
         const Kilometers to_closest = fe_distance(closest.front());
 
@@ -387,7 +383,7 @@ Fig6Duration fig6_poor_duration(const MeasurementStore& store,
 
 std::vector<double> fig7_cumulative_switched(const PassiveLog& log,
                                              int days, int threads) {
-  const PassiveView per_client = passive_by_client(log, days);
+  const PassiveView per_client = passive_by_client(log, 0, days);
   if (per_client.clients.empty()) {
     return std::vector<double>(static_cast<std::size_t>(std::max(0, days)),
                                0.0);
@@ -433,7 +429,7 @@ DistributionBuilder fig8_switch_distance(const PassiveLog& log, int days,
                                          const Deployment& deployment,
                                          const MetroDatabase& metros,
                                          int threads) {
-  const PassiveView per_client = passive_by_client(log, days);
+  const PassiveView per_client = passive_by_client(log, 0, days);
 
   return Executor::global().parallel_reduce(
       0, per_client.clients.size(), threads, kReduceGrain,

@@ -60,8 +60,7 @@ BeaconSystem::BeaconSystem(const CdnRouter& router,
         const GeoPoint estimated = geolocation.estimate(
             server.location, 0x1000000000ull + server.id.value);
         candidates_[server.id.value] = deployment.nearest_sites(
-            metros, estimated,
-            static_cast<std::size_t>(config_.candidate_pool));
+            estimated, static_cast<std::size_t>(config_.candidate_pool));
       });
 
   // Per-client distance to the metro center.

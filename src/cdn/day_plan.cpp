@@ -29,22 +29,18 @@ DayRoutePlan::DayRoutePlan(const CdnRouter& router,
       walk_cache_(router.anycast_table()) {
   require(max_route_alternatives >= 1, "max_route_alternatives must be >= 1");
 
-  // Sorted, deduplicated (AS, metro) pairs: identical to iterating the
+  // Units in sorted (AS, metro) order: identical to iterating the
   // std::set World historically built, so dynamics registration order —
   // and with it the flappy-draw RNG sequence — is unchanged.
-  std::vector<std::pair<AsId, MetroId>> pairs;
-  pairs.reserve(clients.size());
-  for (const Client24& c : clients) pairs.emplace_back(c.access_as, c.metro);
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  UnitIndex index = UnitIndex::of(clients);
+  units_ = std::move(index.units);
+  client_unit_ = std::move(index.client_unit);
 
-  units_.reserve(pairs.size());
-  reg_candidates_.reserve(pairs.size());
-  cand_offset_.reserve(pairs.size() + 1);
+  reg_candidates_.reserve(units_.size());
+  cand_offset_.reserve(units_.size() + 1);
   cand_offset_.push_back(0);
-  for (const auto& [as, metro] : pairs) {
-    units_.push_back(RoutingUnit{as, metro});
-    const std::size_t full = router_->anycast_candidate_count(as);
+  for (const RoutingUnit& unit : units_) {
+    const std::size_t full = router_->anycast_candidate_count(unit.as);
     reg_candidates_.push_back(std::min<std::size_t>(
         full, static_cast<std::size_t>(max_route_alternatives)));
     // At least one slot even for unreachable ASes: candidate 0 resolves
@@ -55,15 +51,6 @@ DayRoutePlan::DayRoutePlan(const CdnRouter& router,
   }
   route_cache_.resize(cand_offset_.back());
   route_gen_.assign(cand_offset_.back(), 0);  // generation starts at 1
-
-  client_unit_.assign(clients.size(), 0);
-  for (const Client24& c : clients) {
-    ACDN_CHECK_LT(std::size_t(c.id.value), clients.size());
-    const auto it = std::lower_bound(
-        pairs.begin(), pairs.end(), std::make_pair(c.access_as, c.metro));
-    client_unit_[c.id.value] =
-        static_cast<std::uint32_t>(it - pairs.begin());
-  }
 }
 
 void DayRoutePlan::register_units(RouteDynamics& dynamics) const {

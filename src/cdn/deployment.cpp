@@ -1,12 +1,46 @@
 #include "cdn/deployment.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <set>
 
 #include "common/error.h"
 #include "common/failpoint.h"
 
 namespace acdn {
+
+namespace {
+
+/// The dot-product margin of nearest_sites' prefilter. A site is dropped
+/// only when its dot with p trails the k-th largest dot by more than this,
+/// which must guarantee that each of those k sites is strictly nearer by
+/// haversine_km, whatever the rounding. It does, because the margin is
+/// larger than the combined rounding error of the two paths:
+///  - Dot path: each unit-vector component is a product of at most two
+///    libm results on rounded radians, within ~1e-15 of its exact value,
+///    and the three-term dot adds a few ulp: |dot - cos θ| < 1e-14.
+///  - Haversine path: h = sin²(Δφ/2) + cos φ1 cos φ2 sin²(Δλ/2) comes out
+///    within Δh < 1e-14 of its exact value (radian conversion, libm and
+///    product roundings). θ = 2 asin(√h) is steepest near h = 0 and h = 1,
+///    where it still moves by at most π√Δh < 3.2e-7; with sqrt's and
+///    asin's own roundings each site's angle is within 3.5e-7 rad.
+/// Since |cos a - cos b| <= |a - b|, a dot lead of more than
+/// 2·1e-14 + 2·3.5e-7 < 7.1e-7 means a strictly smaller true angle, by more
+/// than both sites' haversine errors together. 1e-5 clears that 14 times
+/// over; 300 km from the nearest site it keeps extra sites only within
+/// about 1.4 km of the k-th.
+constexpr double kDotMargin = 1e-5;
+
+std::array<double, 3> unit_vector(const GeoPoint& p) {
+  const double phi = p.lat_deg * std::numbers::pi / 180.0;
+  const double lambda = p.lon_deg * std::numbers::pi / 180.0;
+  const double cos_phi = std::cos(phi);
+  return {cos_phi * std::cos(lambda), cos_phi * std::sin(lambda),
+          std::sin(phi)};
+}
+
+}  // namespace
 
 int DeploymentConfig::count_for(Region r) const {
   switch (r) {
@@ -29,7 +63,8 @@ int DeploymentConfig::total() const {
   return total;
 }
 
-Deployment::Deployment(std::vector<FrontEndSite> sites, Prefix anycast_prefix)
+Deployment::Deployment(const MetroDatabase& metros,
+                       std::vector<FrontEndSite> sites, Prefix anycast_prefix)
     : sites_(std::move(sites)), anycast_prefix_(anycast_prefix) {
   require(!sites_.empty(), "deployment needs at least one site");
   std::set<MetroId> seen;
@@ -38,6 +73,8 @@ Deployment::Deployment(std::vector<FrontEndSite> sites, Prefix anycast_prefix)
     require(seen.insert(sites_[i].metro).second,
             "two front-end sites in one metro");
     site_metros_.push_back(sites_[i].metro);
+    locations_.push_back(metros.metro(sites_[i].metro).location);
+    unit_vectors_.push_back(unit_vector(locations_.back()));
   }
 }
 
@@ -61,7 +98,7 @@ Deployment Deployment::make_default(const MetroDatabase& metros,
                                    addresses.allocate_slash24()});
     }
   }
-  return Deployment(std::move(sites), anycast);
+  return Deployment(metros, std::move(sites), anycast);
 }
 
 const FrontEndSite& Deployment::site(FrontEndId id) const {
@@ -78,35 +115,46 @@ std::optional<FrontEndId> Deployment::site_at(MetroId metro) const {
   return std::nullopt;
 }
 
-std::vector<FrontEndId> Deployment::nearest_sites(const MetroDatabase& metros,
-                                                  const GeoPoint& p,
-                                                  std::size_t k) const {
-  // Site coordinates as columns, then one batch haversine from p
-  // (bit-identical per site to haversine_km(p, site), with p's cosine
-  // computed once).
-  std::vector<double> lat;
-  std::vector<double> lon;
-  lat.reserve(sites_.size());
-  lon.reserve(sites_.size());
-  for (const FrontEndSite& s : sites_) {
-    const GeoPoint& where = metros.metro(s.metro).location;
-    lat.push_back(where.lat_deg);
-    lon.push_back(where.lon_deg);
-  }
-  std::vector<Kilometers> km(sites_.size());
-  haversine_km_batch(p, lat, lon, km);
+const GeoPoint& Deployment::location(FrontEndId id) const {
+  return locations_[site(id).id.value];
+}
 
-  std::vector<std::pair<Kilometers, FrontEndId>> dist;
-  dist.reserve(sites_.size());
-  for (const FrontEndSite& s : sites_) {
-    dist.emplace_back(km[s.id.value], s.id);
+std::vector<FrontEndId> Deployment::nearest_sites(const GeoPoint& p,
+                                                  std::size_t k) const {
+  const std::size_t n = std::min(k, sites_.size());
+  if (n == 0) return {};
+  // Prefilter: p's dot product with every site (larger = nearer), then
+  // drop every site more than kDotMargin below the n-th largest dot. The
+  // kept sites include the n nearest (see kDotMargin), and their
+  // (haversine_km, id) pairs sort exactly as a full scan's would.
+  const std::array<double, 3> u = unit_vector(p);
+  std::vector<std::pair<double, FrontEndId>> ranked(sites_.size());
+  for (std::size_t i = 0; i < sites_.size(); ++i) {
+    const std::array<double, 3>& v = unit_vectors_[i];
+    ranked[i] = {u[0] * v[0] + u[1] * v[1] + u[2] * v[2], sites_[i].id};
   }
-  const std::size_t n = std::min(k, dist.size());
-  std::partial_sort(dist.begin(), dist.begin() + static_cast<long>(n),
-                    dist.end());
+  double floor = -2.0;  // below any dot: keep every site when n == size()
+  if (n < ranked.size()) {
+    const auto nth = ranked.begin() + static_cast<long>(n - 1);
+    std::nth_element(ranked.begin(), nth, ranked.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first > b.first;
+                     });
+    floor = nth->first - kDotMargin;
+  }
+  // Compact the kept sites in place as (km, id).
+  std::size_t kept = 0;
+  for (const auto& [dot, id] : ranked) {
+    if (dot < floor) continue;
+    const FrontEndId site_id = id;
+    ranked[kept++] = {haversine_km(p, locations_[site_id.value]), site_id};
+  }
+  ranked.resize(kept);
+  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<long>(n),
+                    ranked.end());
   std::vector<FrontEndId> out;
   out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(dist[i].second);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(ranked[i].second);
   return out;
 }
 

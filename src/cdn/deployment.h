@@ -7,6 +7,7 @@
 // front-end distance lands near the paper's 280 km (Figure 2).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <span>
 #include <vector>
@@ -36,7 +37,9 @@ struct DeploymentConfig {
 
 class Deployment {
  public:
-  Deployment(std::vector<FrontEndSite> sites, Prefix anycast_prefix);
+  /// Takes each site's coordinates from its metro in `metros`.
+  Deployment(const MetroDatabase& metros, std::vector<FrontEndSite> sites,
+             Prefix anycast_prefix);
 
   /// Builds the default Bing-scale deployment over `metros`, allocating the
   /// anycast /24 and one unicast /24 per site from `addresses`.
@@ -55,9 +58,14 @@ class Deployment {
     return site_metros_;
   }
 
-  /// The k sites geographically closest to `p`, nearest first.
-  [[nodiscard]] std::vector<FrontEndId> nearest_sites(
-      const MetroDatabase& metros, const GeoPoint& p, std::size_t k) const;
+  /// Where site `id` is: its metro's center.
+  [[nodiscard]] const GeoPoint& location(FrontEndId id) const;
+
+  /// The min(k, size()) sites geographically closest to `p`, nearest
+  /// first: ascending haversine_km(p, location(id)), lower id first on
+  /// equal distances.
+  [[nodiscard]] std::vector<FrontEndId> nearest_sites(const GeoPoint& p,
+                                                      std::size_t k) const;
 
   /// The site whose /24 is `prefix`, if any.
   [[nodiscard]] std::optional<FrontEndId> site_for_prefix(
@@ -72,6 +80,10 @@ class Deployment {
  private:
   std::vector<FrontEndSite> sites_;
   std::vector<MetroId> site_metros_;
+  /// Per site, indexed by id: its location, and that location as a unit
+  /// vector for nearest_sites' dot-product prefilter.
+  std::vector<GeoPoint> locations_;
+  std::vector<std::array<double, 3>> unit_vectors_;
   Prefix anycast_prefix_;
 };
 

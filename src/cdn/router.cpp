@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "common/error.h"
 #include "common/executor.h"
 #include "common/metrics.h"
@@ -17,6 +18,30 @@ std::vector<MetroId> sorted_copy(std::span<const MetroId> metros) {
 }
 
 }  // namespace
+
+UnitIndex UnitIndex::of(std::span<const Client24> clients) {
+  // Sorted, deduplicated (AS, metro) pairs, then one binary search per
+  // client.
+  UnitIndex index;
+  index.units.reserve(clients.size());
+  for (const Client24& c : clients) {
+    index.units.push_back(RoutingUnit{c.access_as, c.metro});
+  }
+  std::sort(index.units.begin(), index.units.end());
+  index.units.erase(std::unique(index.units.begin(), index.units.end()),
+                    index.units.end());
+  index.units.shrink_to_fit();
+
+  index.client_unit.assign(clients.size(), 0);
+  for (const Client24& c : clients) {
+    ACDN_CHECK_LT(std::size_t(c.id.value), clients.size());
+    const auto it = std::lower_bound(index.units.begin(), index.units.end(),
+                                     RoutingUnit{c.access_as, c.metro});
+    index.client_unit[c.id.value] =
+        static_cast<std::uint32_t>(it - index.units.begin());
+  }
+  return index;
+}
 
 CdnRouter::CdnRouter(const AsGraph& graph, const CdnNetwork& cdn,
                      int threads)
@@ -84,6 +109,18 @@ RouteResult CdnRouter::route_anycast_prewalked(std::span<const AsId> chain,
                                          result.front_end);
   result.as_hops = path.as_hops;
   return result;
+}
+
+UnitRoutes CdnRouter::route_anycast_units(std::span<const Client24> clients,
+                                          int threads) const {
+  UnitRoutes out{UnitIndex::of(clients), {}};
+  out.routes.resize(out.index.units.size());
+  Executor::global().parallel_for(
+      0, out.routes.size(), threads, [&](std::size_t u) {
+        const RoutingUnit& unit = out.index.units[u];
+        out.routes[u] = route_anycast(unit.as, unit.metro);
+      });
+  return out;
 }
 
 std::size_t CdnRouter::anycast_candidate_count(AsId access) const {

@@ -8,11 +8,16 @@
 // real study.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cdn/network.h"
+#include "common/check.h"
 #include "routing/bgp.h"
+#include "routing/dynamics.h"
 #include "routing/path.h"
+#include "workload/clients.h"
 
 namespace acdn {
 
@@ -25,6 +30,27 @@ struct RouteResult {
   int as_hops = 0;
 
   [[nodiscard]] Kilometers total_km() const { return path_km + backbone_km; }
+};
+
+/// A client population's routing units: its distinct (access AS, metro)
+/// pairs in ascending order, and each client's index into them. Clients
+/// must have dense ids (id.value == index), as ClientPopulation produces.
+struct UnitIndex {
+  std::vector<RoutingUnit> units;
+  std::vector<std::uint32_t> client_unit;  // client id -> unit index
+
+  [[nodiscard]] static UnitIndex of(std::span<const Client24> clients);
+};
+
+/// Candidate-0 anycast routes, one per routing unit.
+struct UnitRoutes {
+  UnitIndex index;
+  std::vector<RouteResult> routes;  // parallel to index.units
+
+  [[nodiscard]] const RouteResult& for_client(const Client24& client) const {
+    ACDN_CHECK_LT(std::size_t(client.id.value), index.client_unit.size());
+    return routes[index.client_unit[client.id.value]];
+  }
 };
 
 class CdnRouter {
@@ -40,6 +66,14 @@ class CdnRouter {
   [[nodiscard]] RouteResult route_anycast(AsId access, MetroId metro,
                                           std::size_t candidate_index = 0)
       const;
+
+  /// Every client's primary (candidate-0) anycast route. A route depends
+  /// only on the client's routing unit, so each distinct unit is resolved
+  /// once, on up to `threads` executor lanes, each into its own slot: the
+  /// routes and the router.anycast_lookups count (one per unit) are the
+  /// same for any `threads`.
+  [[nodiscard]] UnitRoutes route_anycast_units(
+      std::span<const Client24> clients, int threads = 1) const;
 
   /// Number of distinct anycast route candidates at `access` — the degrees
   /// of freedom route dynamics can exercise.

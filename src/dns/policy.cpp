@@ -20,7 +20,7 @@ DnsAnswer GeoClosestPolicy::resolve(const DnsQueryContext& query) const {
     where = geo_->estimate(ldns_->server(query.ldns).location,
                            0x1000000000ull + query.ldns.value);
   }
-  const auto nearest = deployment_->nearest_sites(*metros_, where, 1);
+  const auto nearest = deployment_->nearest_sites(where, 1);
   require(!nearest.empty(), "deployment has no sites");
   return DnsAnswer{false, nearest.front()};
 }

@@ -56,12 +56,10 @@ class AnycastPolicy final : public RedirectionPolicy {
 /// the — imperfect — geolocation database.
 class GeoClosestPolicy final : public RedirectionPolicy {
  public:
-  GeoClosestPolicy(const Deployment& deployment, const MetroDatabase& metros,
-                   const LdnsPopulation& ldns,
+  GeoClosestPolicy(const Deployment& deployment, const LdnsPopulation& ldns,
                    const ClientPopulation& clients,
                    const GeolocationModel& geo)
       : deployment_(&deployment),
-        metros_(&metros),
         ldns_(&ldns),
         clients_(&clients),
         geo_(&geo) {}
@@ -71,7 +69,6 @@ class GeoClosestPolicy final : public RedirectionPolicy {
 
  private:
   const Deployment* deployment_;
-  const MetroDatabase* metros_;
   const LdnsPopulation* ldns_;
   const ClientPopulation* clients_;
   const GeolocationModel* geo_;

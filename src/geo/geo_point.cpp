@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "common/check.h"
-
 namespace acdn {
 
 namespace {
@@ -37,25 +35,6 @@ Kilometers haversine_km(const GeoPoint& a, const GeoPoint& b) {
   const double t = std::sin(dlam / 2.0);
   const double h = s * s + std::cos(phi1) * std::cos(phi2) * t * t;
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
-}
-
-void haversine_km_batch(const GeoPoint& origin, std::span<const double> lat_deg,
-                        std::span<const double> lon_deg,
-                        std::span<Kilometers> out_km) {
-  ACDN_CHECK_EQ(lat_deg.size(), lon_deg.size());
-  ACDN_CHECK_EQ(lat_deg.size(), out_km.size());
-  // haversine_km's operations in its order; cos(phi1) is the same bits on
-  // every iteration, so hoisting it changes nothing.
-  const double cos_phi1 = std::cos(rad(origin.lat_deg));
-  for (std::size_t i = 0; i < lat_deg.size(); ++i) {
-    const double phi2 = rad(lat_deg[i]);
-    const double dphi = rad(lat_deg[i] - origin.lat_deg);
-    const double dlam = rad(lon_deg[i] - origin.lon_deg);
-    const double s = std::sin(dphi / 2.0);
-    const double t = std::sin(dlam / 2.0);
-    const double h = s * s + cos_phi1 * std::cos(phi2) * t * t;
-    out_km[i] = 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
-  }
 }
 
 double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b) {

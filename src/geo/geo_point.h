@@ -1,7 +1,6 @@
 // Geographic primitives: points on the WGS84 sphere and great-circle math.
 #pragma once
 
-#include <span>
 #include <string>
 
 #include "common/types.h"
@@ -34,14 +33,6 @@ struct GeoPoint {
 
 /// Great-circle distance in kilometers (haversine, mean Earth radius).
 [[nodiscard]] Kilometers haversine_km(const GeoPoint& a, const GeoPoint& b);
-
-/// haversine_km from one fixed origin to each point of coordinate
-/// columns: a scalar loop that computes the origin's cosine once, with
-/// every element bit-identical to haversine_km(origin, {lat, lon}).
-/// Spans must match in size.
-void haversine_km_batch(const GeoPoint& origin, std::span<const double> lat_deg,
-                        std::span<const double> lon_deg,
-                        std::span<Kilometers> out_km);
 
 /// Initial bearing from `a` to `b` in degrees clockwise from north, [0, 360).
 [[nodiscard]] double initial_bearing_deg(const GeoPoint& a, const GeoPoint& b);

@@ -18,7 +18,6 @@ SheddingPlan FastRouteController::plan(const LoadMap& start) const {
               config_.target_utilization <= 1.0,
           "target_utilization must be in (0,1]");
   const Deployment& deployment = model_->router().cdn().deployment();
-  const MetroDatabase& metros = model_->router().cdn().graph().metros();
   const std::size_t n = start.offered.size();
 
   SheddingPlan plan;
@@ -42,10 +41,8 @@ SheddingPlan FastRouteController::plan(const LoadMap& start) const {
       excess = std::min(excess, load.offered[i] * config_.max_shed_per_round);
 
       // Spill to the nearest sites with spare capacity, nearest first.
-      const GeoPoint here =
-          metros.metro(deployment.site(from).metro).location;
       const auto neighbors = deployment.nearest_sites(
-          metros, here,
+          deployment.location(from),
           static_cast<std::size_t>(config_.spill_candidates) + 1);
       for (FrontEndId to : neighbors) {
         if (to == from || excess <= 0.0) continue;

@@ -29,8 +29,9 @@ LoadModel::LoadModel(const ClientPopulation& clients, const CdnRouter& router,
   client_ingress_.resize(clients.size());
   client_routable_.assign(clients.size(), false);
 
+  const UnitRoutes routes = router.route_anycast_units(clients.clients());
   for (const Client24& c : clients.clients()) {
-    const RouteResult route = router.route_anycast(c.access_as, c.metro);
+    const RouteResult& route = routes.for_client(c);
     if (!route.valid) continue;
     client_routable_[c.id.value] = true;
     client_ingress_[c.id.value] = route.ingress_metro;

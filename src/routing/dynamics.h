@@ -26,7 +26,7 @@ struct RoutingUnit {
   AsId as;
   MetroId metro;
 
-  bool operator==(const RoutingUnit&) const = default;
+  auto operator<=>(const RoutingUnit&) const = default;
 };
 
 struct RoutingUnitHash {

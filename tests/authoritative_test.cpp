@@ -11,8 +11,8 @@ class AuthoritativeTest : public ::testing::Test {
  protected:
   AuthoritativeTest()
       : world_(ScenarioConfig::small_test()),
-        geo_policy_(world_.cdn().deployment(), world_.metros(),
-                    world_.ldns(), world_.clients(), world_.geolocation()) {}
+        geo_policy_(world_.cdn().deployment(), world_.ldns(),
+                    world_.clients(), world_.geolocation()) {}
 
   World world_;
   GeoClosestPolicy geo_policy_;

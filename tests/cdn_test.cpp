@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <numbers>
 #include <set>
+#include <utility>
 
 #include "cdn/catalogs.h"
 #include "cdn/network.h"
 #include "cdn/router.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "test_fixtures.h"
 
 namespace acdn {
@@ -59,15 +65,107 @@ TEST(Deployment, NearestSitesSorted) {
   const Deployment d = Deployment::make_default(MetroDatabase::world(),
                                                 DeploymentConfig{}, addresses);
   const GeoPoint berlin{52.52, 13.40};
-  const auto nearest = d.nearest_sites(MetroDatabase::world(), berlin, 5);
+  const auto nearest = d.nearest_sites(berlin, 5);
   ASSERT_EQ(nearest.size(), 5u);
   Kilometers prev = 0.0;
   for (FrontEndId fe : nearest) {
-    const Kilometers dkm = haversine_km(
-        berlin,
-        MetroDatabase::world().metro(d.site(fe).metro).location);
+    const Kilometers dkm = haversine_km(berlin, d.location(fe));
     EXPECT_GE(dkm, prev);
     prev = dkm;
+  }
+}
+
+/// Every site by full scan: haversine_km to each, ordered by (km, id).
+/// nearest_sites(p, k) must return the first min(k, size) of these.
+std::vector<FrontEndId> sites_by_full_scan(const Deployment& d,
+                                           const GeoPoint& p) {
+  std::vector<std::pair<Kilometers, FrontEndId>> dist;
+  for (const FrontEndSite& s : d.sites()) {
+    dist.emplace_back(haversine_km(p, d.location(s.id)), s.id);
+  }
+  std::sort(dist.begin(), dist.end());
+  std::vector<FrontEndId> out;
+  for (const auto& [km, id] : dist) out.push_back(id);
+  return out;
+}
+
+GeoPoint from_unit(double x, double y, double z) {
+  constexpr double kDeg = 180.0 / std::numbers::pi;
+  return GeoPoint{std::atan2(z, std::hypot(x, y)) * kDeg,
+                  std::atan2(y, x) * kDeg};
+}
+
+/// Points that stress the dot-product prefilter: uniform random points,
+/// every site's own location and its antipode, the poles, the antimeridian
+/// from both sides, and the great-circle midpoint of every pair of sites,
+/// where two sites tie.
+std::vector<GeoPoint> prefilter_probe_points(const Deployment& d) {
+  std::vector<GeoPoint> points;
+  Rng rng(18);
+  for (int i = 0; i < 10000; ++i) {
+    const double lat =
+        std::asin(rng.uniform(-1.0, 1.0)) * 180.0 / std::numbers::pi;
+    points.push_back({lat, rng.uniform(-180.0, 180.0)});
+  }
+  points.push_back({90.0, 0.0});
+  points.push_back({-90.0, 0.0});
+  for (const double lat : {-60.0, -30.0, 0.0, 30.0, 60.0}) {
+    points.push_back({lat, 180.0});
+    points.push_back({lat, -180.0});
+  }
+  std::vector<std::array<double, 3>> unit;
+  for (const FrontEndSite& s : d.sites()) {
+    const GeoPoint& at = d.location(s.id);
+    points.push_back(at);
+    points.push_back(
+        {-at.lat_deg, at.lon_deg > 0.0 ? at.lon_deg - 180.0
+                                       : at.lon_deg + 180.0});
+    const double phi = at.lat_deg * std::numbers::pi / 180.0;
+    const double lambda = at.lon_deg * std::numbers::pi / 180.0;
+    unit.push_back({std::cos(phi) * std::cos(lambda),
+                    std::cos(phi) * std::sin(lambda), std::sin(phi)});
+  }
+  for (std::size_t i = 0; i < unit.size(); ++i) {
+    for (std::size_t j = i + 1; j < unit.size(); ++j) {
+      const double x = unit[i][0] + unit[j][0];
+      const double y = unit[i][1] + unit[j][1];
+      const double z = unit[i][2] + unit[j][2];
+      if (std::sqrt(x * x + y * y + z * z) < 1e-9) continue;  // antipodal
+      points.push_back(from_unit(x, y, z));
+    }
+  }
+  return points;
+}
+
+TEST(Deployment, NearestSitesMatchFullScanReference) {
+  DeploymentConfig tripled;
+  for (int* count : {&tripled.north_america, &tripled.europe, &tripled.asia,
+                     &tripled.oceania, &tripled.south_america,
+                     &tripled.africa, &tripled.middle_east}) {
+    *count *= 3;
+  }
+  for (const DeploymentConfig& config : {DeploymentConfig{}, tripled}) {
+    PrefixAllocator addresses = PrefixAllocator::cdn_pool();
+    const Deployment d =
+        Deployment::make_default(MetroDatabase::world(), config, addresses);
+    const std::vector<GeoPoint> points = prefilter_probe_points(d);
+    ASSERT_GE(points.size(), 10000u + 2 * d.size());
+    std::size_t mismatches = 0;
+    for (const GeoPoint& p : points) {
+      const std::vector<FrontEndId> full = sites_by_full_scan(d, p);
+      for (const std::size_t k :
+           {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{10},
+            d.size(), d.size() + 3}) {
+        const std::vector<FrontEndId> want(
+            full.begin(),
+            full.begin() + static_cast<long>(std::min(k, full.size())));
+        if (d.nearest_sites(p, k) != want) {
+          ADD_FAILURE() << "k=" << k << " at (" << p.lat_deg << ", "
+                        << p.lon_deg << ") with " << d.size() << " sites";
+          if (++mismatches > 10) return;
+        }
+      }
+    }
   }
 }
 
@@ -145,7 +243,7 @@ class CdnFixture : public ::testing::Test {
                                  addresses.allocate_slash24()});
     sites.push_back(FrontEndSite{FrontEndId{}, kNewYork, "NewYork",
                                  addresses.allocate_slash24()});
-    Deployment deployment(std::move(sites), anycast);
+    Deployment deployment(metros_, std::move(sites), anycast);
 
     CdnNetworkConfig config;
     config.extra_peering_metros = 1;  // Chicago or Denver becomes peering-only

@@ -161,9 +161,8 @@ TEST_F(LdnsTest, AnycastPolicyAlwaysAnycast) {
 }
 
 TEST_F(LdnsTest, GeoClosestUsesEcsWhenAvailable) {
-  const GeoClosestPolicy policy(world_.cdn().deployment(), world_.metros(),
-                                world_.ldns(), world_.clients(),
-                                world_.geolocation());
+  const GeoClosestPolicy policy(world_.cdn().deployment(), world_.ldns(),
+                                world_.clients(), world_.geolocation());
   // A client whose resolver is far away: ECS-based answers should track the
   // client, not the resolver.
   for (const Client24& c : world_.clients().clients()) {
@@ -195,9 +194,8 @@ TEST_F(LdnsTest, GeoClosestUsesEcsWhenAvailable) {
 }
 
 TEST_F(LdnsTest, GeoClosestIsDeterministic) {
-  const GeoClosestPolicy policy(world_.cdn().deployment(), world_.metros(),
-                                world_.ldns(), world_.clients(),
-                                world_.geolocation());
+  const GeoClosestPolicy policy(world_.cdn().deployment(), world_.ldns(),
+                                world_.clients(), world_.geolocation());
   const Client24& c = world_.clients().clients().front();
   const DnsAnswer a = policy.resolve(DnsQueryContext{c.ldns, c.prefix, 0});
   const DnsAnswer b = policy.resolve(DnsQueryContext{c.ldns, c.prefix, 3});

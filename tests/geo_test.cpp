@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "geo/geo_point.h"
 #include "geo/geolocation.h"
 #include "geo/metro.h"
@@ -31,33 +28,6 @@ TEST(Haversine, ZeroForIdenticalPoints) {
 TEST(Haversine, Symmetric) {
   EXPECT_DOUBLE_EQ(haversine_km(kLondon, kNewYork),
                    haversine_km(kNewYork, kLondon));
-}
-
-// haversine_km_batch (Deployment::nearest_sites' path) must be
-// haversine_km, bit for bit, or the nearest-site order could move.
-TEST(SimdReference, HaversineMatchesGeoPoint) {
-  Rng rng(18);
-  const GeoPoint origin{37.7749, -122.4194};
-  const std::size_t n = 257;
-  std::vector<double> lat(n);
-  std::vector<double> lon(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lat[i] = rng.uniform(-90.0, 90.0);
-    lon[i] = rng.uniform(-180.0, 180.0);
-  }
-  // Edge lanes: the antipode (clamp path, h ~ 1) and the origin itself.
-  lat[0] = -origin.lat_deg;
-  lon[0] = origin.lon_deg + 180.0;
-  lat[1] = origin.lat_deg;
-  lon[1] = origin.lon_deg;
-  std::vector<Kilometers> batch(n);
-  haversine_km_batch(origin, lat, lon, batch);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Kilometers direct = haversine_km(origin, GeoPoint{lat[i], lon[i]});
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
-              std::bit_cast<std::uint64_t>(direct))
-        << "batch haversine diverged from haversine_km at " << i;
-  }
 }
 
 TEST(DestinationPoint, RoundTripsDistance) {

@@ -36,9 +36,8 @@ TEST_F(PolicyLabTest, AnycastStrategyAnswersNoUnicast) {
 }
 
 TEST_F(PolicyLabTest, GeoStrategyAnswersAllUnicast) {
-  const GeoClosestPolicy geo(world_.cdn().deployment(), world_.metros(),
-                             world_.ldns(), world_.clients(),
-                             world_.geolocation());
+  const GeoClosestPolicy geo(world_.cdn().deployment(), world_.ldns(),
+                             world_.clients(), world_.geolocation());
   PolicyLab lab(world_);
   lab.add_strategy("geo", geo);
   const auto outcomes = lab.run(1);
