@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cdn/router.h"
+#include "common/csv.h"
 #include "common/executor.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -53,6 +54,25 @@ void BM_RngWarmDraw(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(rng.next_u64());
 }
 BENCHMARK(BM_RngWarmDraw);
+
+// One CSV field through CsvWriter::format_number. Whole numbers below 2^53
+// with fewer than five trailing zeros (most ids, days) take its integral
+// branch; a beacon id with five (70369280000000) and other doubles (RTTs)
+// go through std::to_chars' shortest-digit search.
+void BM_CsvFormatNumber(benchmark::State& state, double value) {
+  // Read from memory each iteration, so the call sees run-time data.
+  const std::vector<double> input{value};
+  char buf[CsvWriter::kMaxNumberChars];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CsvWriter::format_number(buf, input[0]));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK_CAPTURE(BM_CsvFormatNumber, front_end_17, 17.0);
+BENCHMARK_CAPTURE(BM_CsvFormatNumber, beacon_id_70369280000000,
+                  70369280000000.0);
+BENCHMARK_CAPTURE(BM_CsvFormatNumber, rtt_ms_23_456789012345678,
+                  23.456789012345678);
 
 void BM_RadixTrieLongestMatch(benchmark::State& state) {
   RadixTrie<int> trie;

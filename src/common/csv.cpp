@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -99,7 +101,30 @@ void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
   put('\n');
 }
 
+namespace {
+
+/// Below 2^53 every whole number is a double, and its shortest round-trip
+/// digits are its own digits without trailing zeros: a shorter decimal
+/// differs from it by at least 1, more than half its ulp. With fewer than
+/// five trailing zeros the e form ("d.ddde+XX") is never shorter than
+/// those digits, so std::to_chars prints them as they are.
+constexpr double kWholeLimit = 0x1p53;
+
+/// Digits of the largest std::uint64_t.
+constexpr std::size_t kMaxWholeDigits = 20;
+
+}  // namespace
+
 char* CsvWriter::format_number(char* out, double v) {
+  const double magnitude = std::fabs(v);
+  if (magnitude < kWholeLimit) {
+    const auto whole = static_cast<std::uint64_t>(magnitude);
+    if (static_cast<double>(whole) == magnitude &&
+        (whole % 100000 != 0 || whole == 0)) {
+      if (std::signbit(v)) *out++ = '-';  // -0.0 stays "-0"
+      return std::to_chars(out, out + kMaxWholeDigits, whole).ptr;
+    }
+  }
   const auto [ptr, ec] = std::to_chars(out, out + kMaxNumberChars, v);
   if (ec == std::errc{}) return ptr;
   std::memcpy(out, "nan", 3);

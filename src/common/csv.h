@@ -54,10 +54,14 @@ class CsvWriter {
   /// quoting.
   void write_row(std::string_view leading, std::span<const double> values);
 
-  /// Writes `v` at `out` exactly as the numeric overloads do — the
-  /// shortest text that round-trips, so exported data re-imports
-  /// bit-identical — and returns one past its last character. `out` must
-  /// have kMaxNumberChars of room.
+  /// Writes `v` at `out` exactly as the numeric overloads do and returns
+  /// one past its last character. The text is std::to_chars(v)'s: the
+  /// shortest that round-trips, so exported data re-imports bit-identical.
+  /// A whole number below 2^53 in magnitude with fewer than five
+  /// trailing zeros (ids, days, counts) skips to_chars' shortest-digit
+  /// search: to_chars prints such a number as its own digits, so it is
+  /// written from its integer digits, with a '-' when the sign bit is set
+  /// ("-0" for -0.0). `out` must have kMaxNumberChars of room.
   static char* format_number(char* out, double v);
 
   /// Writes out buffered rows and throws acdn::Error if any write failed.

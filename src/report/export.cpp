@@ -25,15 +25,17 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return out;
 }
 
+/// Reads a double field as the writer writes it: the whole field must be
+/// std::from_chars text, which ignores the locale and rejects leading
+/// space, a '+' sign and hex floats.
 double parse_double(const std::string& s) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(s, &consumed);
-    require(consumed == s.size(), "trailing characters in number: " + s);
-    return v;
-  } catch (const std::exception&) {
+  const char* const end = s.data() + s.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
     throw Error("export: malformed numeric field '" + s + "'");
   }
+  return v;
 }
 
 /// Integer fields below this are written as the to_chars text of a

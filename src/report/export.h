@@ -4,11 +4,14 @@
 // measurements — exported as CSV so downstream users can analyze them in
 // other tooling, and imported back so recorded runs can be re-analyzed
 // without re-simulating. Doubles are written in their shortest round-trip
-// text, so they re-import bit-identical. Integer fields (ids, days, front
-// ends) are written as that same double text below 2^53 — which can be
-// scientific, e.g. beacon 70369280000000 as 7.036928e+13 — and as exact
-// digits from 2^53 on, where a double no longer holds every integer. The
-// importers read both forms, so every integer field round-trips exactly.
+// text (std::to_chars), so they re-import bit-identical. Integer fields
+// (ids, days, front ends) below 2^53 are written as that same text: plain
+// digits, or scientific where that is strictly shorter, e.g. beacon
+// 70369280000000 as 7.036928e+13 (CsvWriter::format_number writes the
+// plain ones from their integer digits). From 2^53 on, where a double no
+// longer holds every integer, they are exact digits. The importers read both
+// forms, so every integer field round-trips exactly, and read doubles with
+// std::from_chars, which takes exactly the text the writer emits.
 #pragma once
 
 #include <string>

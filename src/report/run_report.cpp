@@ -1,6 +1,7 @@
 #include "report/run_report.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string_view>
@@ -39,7 +40,7 @@ std::string json_escape(std::string_view s) {
 /// Shortest round-trip double formatting; JSON has no Infinity/NaN, so
 /// non-finite values (possible in min/max of empty histograms) become null.
 std::string json_number(double v) {
-  if (v != v || v > 1.7e308 || v < -1.7e308) return "null";
+  if (!std::isfinite(v)) return "null";
   char buf[64];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
   require(ec == std::errc{}, "manifest: double format failed");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 
 #include "common/csv.h"
 
@@ -19,12 +18,20 @@ double sample_series(const Series& series, double x) {
 
 namespace {
 
+/// The sorted distinct x values of all series. Of equal values the first
+/// inserted is kept (a stable sort, then unique), so an x given as -0.0
+/// before 0.0 prints as "-0".
 std::vector<double> union_xs(const std::vector<Series>& series) {
-  std::set<double> xs;
+  std::size_t points = 0;
+  for (const Series& s : series) points += s.points.size();
+  std::vector<double> xs;
+  xs.reserve(points);
   for (const Series& s : series) {
-    for (const DistPoint& p : s.points) xs.insert(p.x);
+    for (const DistPoint& p : s.points) xs.push_back(p.x);
   }
-  return {xs.begin(), xs.end()};
+  std::stable_sort(xs.begin(), xs.end());
+  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
+  return xs;
 }
 
 /// Calls `emit(row)` once per union x, ascending, with row = {x, value of

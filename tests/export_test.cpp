@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/error.h"
@@ -334,6 +340,23 @@ TEST(Export, FigureTableStepSamplesUnsortedSeries) {
             0xea7bbe94082345d6ull);
 }
 
+TEST(Export, FigureCsvUnionKeepsFirstOfEqualXs) {
+  // -0.0 and 0.0 are one union x; the first series to give it decides
+  // its text.
+  const Series neg{"neg", {{-0.0, 0.5}, {1.0, 0.75}}};
+  const Series pos{"pos", {{0.0, 0.25}}};
+  Figure neg_first("zeros", "x", "y");
+  neg_first.add_series(neg);
+  neg_first.add_series(pos);
+  EXPECT_EQ(render_csv(neg_first, "acdn_neg_zero.csv"),
+            "x,neg,pos\n-0,0.5,0.25\n1,0.75,0.25\n");
+  Figure pos_first("zeros", "x", "y");
+  pos_first.add_series(pos);
+  pos_first.add_series(neg);
+  EXPECT_EQ(render_csv(pos_first, "acdn_pos_zero.csv"),
+            "x,pos,neg\n0,0.25,0.5\n1,0.25,0.75\n");
+}
+
 TEST(Export, CsvRowLargerThanOneSpill) {
   // A quoted 3 MiB field, with quotes and separators at its ends and near
   // its 1 MiB marks, overruns the writer's buffer several times in one
@@ -392,6 +415,111 @@ TEST(Export, CsvDiskFullSurfacesFromSpillBeforeFlush) {
     for (int i = 0; i < 1000000; ++i) csv.write_row(row);
   };
   EXPECT_THROW(write_rows(), Error);
+}
+
+// ------------------------------------------------------ number formatting
+
+std::string to_chars_text(double v) {
+  char buf[64];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+/// Compares format_number with std::to_chars byte for byte; counts the
+/// values whose text differs and reports the first few.
+class ToCharsComparison {
+ public:
+  void check(double v) {
+    char want[64];
+    char got[CsvWriter::kMaxNumberChars];
+    const char* want_end = std::to_chars(want, want + sizeof(want), v).ptr;
+    const char* got_end = CsvWriter::format_number(got, v);
+    const std::string_view expected(want, std::size_t(want_end - want));
+    const std::string_view actual(got, std::size_t(got_end - got));
+    if (expected == actual) return;
+    if (++mismatches_ <= 10) {
+      ADD_FAILURE() << "format_number wrote '" << actual
+                    << "' where to_chars writes '" << expected << "'";
+    }
+  }
+  void check_both_signs(double v) {
+    check(v);
+    check(-v);
+  }
+  [[nodiscard]] int mismatches() const { return mismatches_; }
+
+ private:
+  int mismatches_ = 0;
+};
+
+TEST(Export, FormatNumberMatchesToChars) {
+  ToCharsComparison cmp;
+  // Every small whole number, as ids, days and counts are.
+  for (int i = -1000000; i <= 1000000; ++i) cmp.check(double(i));
+  // k * 10^j on both sides of the five-trailing-zero threshold: f/e ties
+  // (10000, 1200000) and e strictly shorter (100000, 70369280000000).
+  double power = 1.0;
+  for (int j = 0; j <= 15; ++j, power *= 10.0) {
+    for (int k = 1; k < 10000; ++k) cmp.check_both_signs(k * power);
+  }
+  // Around the bound: below it the integral digits; from it on to_chars.
+  constexpr double two53 = 9007199254740992.0;
+  for (double v : {two53 - 1, two53, two53 + 2}) cmp.check_both_signs(v);
+  // Random whole numbers below 2^53, also with trailing zeros, and whole
+  // numbers up to 2^64 near multiples of 10^j: from 2^59 on, to_chars'
+  // shortest digits for some of them are no longer the integer's own
+  // (620197696971000064 is "6.20197696971e+17").
+  std::mt19937_64 rng(20150401);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t whole = rng() >> 11;
+    cmp.check_both_signs(double(whole));
+    std::uint64_t scale = 1;
+    for (int z = int(rng() % 16); z > 0; --z) scale *= 10;
+    cmp.check_both_signs(double(whole / scale * scale));
+    cmp.check_both_signs(double((rng() >> (rng() % 11)) / scale * scale));
+  }
+  cmp.check_both_signs(0.0);
+  cmp.check_both_signs(std::numeric_limits<double>::infinity());
+  cmp.check_both_signs(std::numeric_limits<double>::quiet_NaN());
+  // Random bit patterns: fractions, subnormals, huge exponents.
+  for (int i = 0; i < 200000; ++i) cmp.check(std::bit_cast<double>(rng()));
+  EXPECT_EQ(cmp.mismatches(), 0);
+}
+
+TEST(Export, NumericRowLargerThanOneSpill) {
+  // Three rows of 50,000 mixed values, each longer than the writer's
+  // buffer, through the shared-prefix overload: the spills inside a row
+  // must not change a byte.
+  std::mt19937_64 rng(7);
+  std::vector<double> values(50000);
+  const std::string path = temp_path("acdn_numeric_rows.csv");
+  std::string expected;
+  {
+    CsvWriter csv(path);
+    for (const std::string_view leading : {"7.036928e+13,1", "", "-0"}) {
+      // Ids, signed whole numbers up to 2^53 and arbitrary doubles (most
+      // of them 22-24 characters long).
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        if (i % 16 == 0) {
+          values[i] = double(rng() % 4096);
+        } else if (i % 4 == 0) {
+          values[i] = double(rng() >> 11) * (i % 8 == 0 ? 1.0 : -1.0);
+        } else {
+          values[i] = std::bit_cast<double>(rng());
+        }
+      }
+      std::string row(leading);
+      for (double v : values) {
+        if (!row.empty()) row += ',';
+        row += to_chars_text(v);
+      }
+      ASSERT_GT(row.size(), CsvWriter::kBufferBytes);
+      expected += row + '\n';
+      csv.write_row(leading, values);
+    }
+    csv.flush();
+  }
+  EXPECT_EQ(slurp(path), expected);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- integer id fields
@@ -486,6 +614,36 @@ TEST(Export, ImportRejectsMalformedInput) {
   EXPECT_THROW((void)import_passive_log(path), Error);
   EXPECT_THROW((void)import_measurements(path), Error);
   EXPECT_THROW((void)import_passive_log("/nonexistent/file.csv"), Error);
+  // Double fields take only the writer's own text: no leading space, no
+  // '+' sign, no hex float, whatever the C library would accept.
+  for (const char* bad : {" 1.5", "+1.5", "0x1p3"}) {
+    {
+      std::ofstream out(path);
+      out << "day,client,front_end,queries\n0,1,2," << bad << "\n";
+    }
+    EXPECT_THROW((void)import_passive_log(path), Error) << "queries " << bad;
+    {
+      std::ofstream out(path);
+      out << "beacon_id,day,hour,client,ldns,anycast,front_end,rtt_ms\n"
+          << "1,0," << bad << ",2,3,1,0,20\n";
+    }
+    EXPECT_THROW((void)import_measurements(path), Error) << "hour " << bad;
+    {
+      std::ofstream out(path);
+      out << "beacon_id,day,hour,client,ldns,anycast,front_end,rtt_ms\n"
+          << "1,0,1.5,2,3,1,0," << bad << "\n";
+    }
+    EXPECT_THROW((void)import_measurements(path), Error) << "rtt_ms " << bad;
+  }
+  // The writer's text for the smallest subnormal reads back exactly.
+  {
+    std::ofstream out(path);
+    out << "day,client,front_end,queries\n0,1,2,5e-324\n";
+  }
+  const PassiveLog tiny = import_passive_log(path);
+  ASSERT_EQ(tiny.total(), 1u);
+  EXPECT_EQ(tiny.by_day(0)[0].queries,
+            std::numeric_limits<double>::denorm_min());
   std::remove(path.c_str());
 }
 

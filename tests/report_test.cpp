@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "common/error.h"
 #include "report/ascii_chart.h"
@@ -106,6 +107,8 @@ RunManifest sample_manifest() {
   m.metrics.counters["sim.beacons"] = 1711;
   m.metrics.counters["join.orphan_dns"] = 103;
   m.metrics.gauges["dns.cache.size"] = 12.0;
+  m.metrics.gauges["test.huge"] = 1.75e308;  // finite, above 1.7e308
+  m.metrics.gauges["test.infinite"] = std::numeric_limits<double>::infinity();
   HistogramStats h;
   h.count = 3;
   h.sum = 6.0;
@@ -135,6 +138,8 @@ TEST(RunManifest, WritesWellFormedJson) {
   EXPECT_NE(text.find("\"sim.beacons\": 1711"), std::string::npos);
   EXPECT_NE(text.find("\"out_b.csv\""), std::string::npos);
   EXPECT_NE(text.find("\"sim.day/join\""), std::string::npos);
+  EXPECT_NE(text.find("\"test.huge\": 1.75e+308,"), std::string::npos);
+  EXPECT_NE(text.find("\"test.infinite\": null\n"), std::string::npos);
   EXPECT_NE(text.find("\"scheduling\": {\n    \"executor.steals\": 17\n  },"),
             std::string::npos);
   const auto opens = std::count(text.begin(), text.end(), '{');
