@@ -1,21 +1,20 @@
 #include "analysis/aggregate.h"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 
 #include "common/check.h"
 #include "common/flat_group.h"
 #include "common/radix.h"
-#include "common/simd.h"
 
 namespace acdn {
 
 namespace {
 
-// The aggregation sort key is one packed uint64 built by the SIMD
-// key-pack kernel: group in the high half, the target in the low half as
-// anycast-bit-31 | front-end-id-30..0 (simd::pack_group_target). For any
-// unicast front-end id < 2^31 the low half sorts exactly like TargetKey's
+// The aggregation sort key is one packed uint64: group in the high half,
+// the target in the low half as anycast-bit-31 | front-end-id-30..0. For
+// any unicast front-end id < 2^31 the low half sorts exactly like TargetKey's
 // (anycast, front_end) lexicographic order — unicast ids ascend below
 // 0x80000000, the anycast lane is exactly 0x80000000 — and the radix
 // sort's stability replaces the old explicit seq tie-breaker column:
@@ -82,29 +81,28 @@ DayAggregates DayAggregates::build(const MeasurementColumns& columns,
   ScratchArena local;
   ScratchArena& arena = scratch != nullptr ? *scratch : local;
 
-  // Expand the per-row group id onto the flat target column, then pack
-  // (group, anycast, front_end) into one sortable uint64 per target with
-  // the SIMD kernel.
-  std::vector<std::uint32_t>& group_col =
-      arena.buffer<std::uint32_t>("agg.group");
-  group_col.resize(n);
+  // Pack (group, anycast, front_end) into one sortable uint64 per target.
+  // Anycast targets ignore their logged front end; a unicast id with bit
+  // 31 set would alias the anycast lane, so its high bit is ORed into
+  // `overflow` and fails the check.
+  std::vector<std::uint64_t>& keys = arena.buffer<std::uint64_t>("agg.keys");
+  keys.resize(n);
+  std::uint32_t overflow = 0;
   for (std::size_t i = 0; i < columns.size(); ++i) {
-    const std::uint32_t group = grouping == Grouping::kEcsPrefix
+    const std::uint64_t group = grouping == Grouping::kEcsPrefix
                                     ? columns.client[i].value
                                     : columns.ldns[i].value;
     for (std::size_t t = columns.row_targets_begin(i);
          t < columns.row_targets_end(i); ++t) {
-      group_col[t] = group;
+      const std::uint32_t fe = columns.target_front_end[t];
+      std::uint64_t target = kAnycastBit;
+      if (columns.target_anycast[t] == 0) {
+        overflow |= fe & 0x80000000u;
+        target = fe & (kAnycastBit - 1);
+      }
+      keys[t] = (group << 32) | target;
     }
   }
-
-  std::vector<std::uint64_t>& keys = arena.buffer<std::uint64_t>("agg.keys");
-  keys.resize(n);
-  const std::uint32_t overflow = simd::pack_group_target(
-      std::span<const std::uint32_t>(group_col),
-      std::span<const std::uint8_t>(columns.target_anycast),
-      std::span<const std::uint32_t>(columns.target_front_end),
-      std::span<std::uint64_t>(keys));
   ACDN_CHECK_EQ(overflow, 0u)
       << "unicast front-end id overflows the 31-bit aggregation key";
 
@@ -117,9 +115,8 @@ DayAggregates DayAggregates::build(const MeasurementColumns& columns,
                    std::span<std::uint32_t>(seq), &arena);
 
   out.samples_.resize(n);
-  std::vector<std::uint32_t>& starts = arena.buffer<std::uint32_t>("agg.runs");
-  for_each_run_u64(
-      std::span<const std::uint64_t>(keys), starts, [&](Run run) {
+  for_each_run(
+      std::span<const std::uint64_t>(keys), std::equal_to<>(), [&](Run run) {
         const std::uint64_t key = keys[run.begin];
         const auto group = static_cast<std::uint32_t>(key >> 32);
         if (out.groups_.empty() || out.groups_.back().key != group) {

@@ -28,8 +28,8 @@ struct MeasurementColumns {
   std::vector<std::uint32_t> target_begin;
 
   // Per target (one timed fetch), flat across all rows. Front-end ids are
-  // stored as raw uint32 values (FrontEndId::value) so the column feeds
-  // the SIMD key-pack kernel directly; row() re-wraps them.
+  // stored as raw uint32 values (FrontEndId::value) so the aggregation's
+  // key pack reads the column directly; row() re-wraps them.
   std::vector<std::uint8_t> target_anycast;
   std::vector<std::uint32_t> target_front_end;
   std::vector<Milliseconds> target_rtt;

@@ -1,5 +1,6 @@
 #include "beacon/store.h"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -7,7 +8,6 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/radix.h"
-#include "common/simd.h"
 
 namespace acdn {
 
@@ -24,7 +24,7 @@ std::span<const Row> in_key_order(std::span<const Row> log,
                                   std::vector<std::uint64_t>& keys,
                                   std::vector<Row>& sorted,
                                   ScratchArena& scratch) {
-  if (simd::is_sorted_u64(std::span<const std::uint64_t>(keys))) return log;
+  if (std::is_sorted(keys.begin(), keys.end())) return log;
   auto pos = scratch.lease<std::uint32_t>("join.pos");
   pos->resize(log.size());
   std::iota(pos->begin(), pos->end(), 0u);
@@ -90,9 +90,14 @@ void MeasurementStore::join(std::span<const DnsLogEntry> dns_log,
 
   // One merge pass over the HTTP side's beacon runs. Both sides ascend in
   // beacon id, so the DNS cursor only moves forward; a beacon's DNS rows
-  // are the run with url_id in [4*beacon, 4*beacon + 4).
+  // are the run with url_id in [4*beacon, 4*beacon + 4). The run count
+  // also bounds the day's row reserve below.
   auto runs = scratch_.lease<std::uint32_t>("join.runs");
-  simd::run_starts_u64(std::span<const std::uint64_t>(*http_keys), *runs);
+  for (std::size_t i = 0; i < http.size(); ++i) {
+    if (i == 0 || (*http_keys)[i] != (*http_keys)[i - 1]) {
+      runs->push_back(static_cast<std::uint32_t>(i));
+    }
+  }
 
   std::size_t joined = 0;
   std::size_t orphan_http = 0;

@@ -11,14 +11,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/error.h"
-#include "common/simd.h"
 
 namespace acdn {
 
@@ -40,24 +38,6 @@ void for_each_run(std::span<const T> v, Eq eq, Fn&& fn) {
       fn(Run{begin, i});
       begin = i;
     }
-  }
-}
-
-/// for_each_run for sorted packed-uint64 key columns: the run boundaries
-/// come from the SIMD neighbor-compare kernel (bit-exact on every
-/// dispatch target), then fn(Run{begin, end}) fires per maximal run in
-/// ascending key order. `starts` is caller scratch (arena-backed at the
-/// call sites) so the hot path allocates nothing after warm-up.
-template <typename Fn>
-void for_each_run_u64(std::span<const std::uint64_t> keys,
-                      std::vector<std::uint32_t>& starts, Fn&& fn) {
-  ACDN_DCHECK_LE(keys.size(), std::size_t{UINT32_MAX});
-  simd::run_starts_u64(keys, starts);
-  for (std::size_t r = 0; r < starts.size(); ++r) {
-    const std::size_t begin = starts[r];
-    const std::size_t end =
-        r + 1 < starts.size() ? starts[r + 1] : keys.size();
-    fn(Run{begin, end});
   }
 }
 

@@ -27,6 +27,26 @@ TEST(DayAggregates, GroupsByClientUnderEcs) {
   EXPECT_EQ(agg.sample_count(*g1, TargetKey{false, FrontEndId(1)}), 0u);
 }
 
+TEST(DayAggregates, UnicastFrontEndIdMustFitTheAggregationKey) {
+  // The packed key keeps 31 bits for a unicast front end; bit 31 is the
+  // anycast lane, so an id with it set must fail instead of aliasing.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  std::vector<BeaconMeasurement> ms;
+  ms.push_back(make_measurement(1, 10, 0, 20.0, {{0x7FFFFFFFu, 30.0}}));
+  ms.push_back(make_measurement(1, 10, 0, 22.0, {{0x7FFFFFFFu, 28.0}}));
+  const DayAggregates agg = DayAggregates::build(ms, Grouping::kEcsPrefix);
+  const DayAggregates::Group* g1 = agg.find(1);
+  ASSERT_NE(g1, nullptr);
+  EXPECT_EQ(g1->target_count, 2u);
+  EXPECT_EQ(agg.sample_count(*g1, TargetKey{false, FrontEndId(0x7FFFFFFFu)}),
+            2u);
+  EXPECT_EQ(agg.sample_count(*g1, TargetKey{true, FrontEndId{}}), 2u);
+
+  ms.push_back(make_measurement(2, 10, 0, 50.0, {{0x80000000u, 40.0}}));
+  EXPECT_DEATH((void)DayAggregates::build(ms, Grouping::kEcsPrefix),
+               "overflows the 31-bit aggregation key");
+}
+
 TEST(DayAggregates, GroupsByLdns) {
   std::vector<BeaconMeasurement> ms;
   ms.push_back(make_measurement(1, 10, 0, 20.0, {{0, 30.0}}));

@@ -44,11 +44,10 @@
 //                     operand outgrows its field (the PR 7 beacon-id bug)
 //   raw-intrinsics    x86/NEON intrinsics (_mm*/__m128../vld1q_f64/
 //                     float64x2_t) or a vendor intrinsic header
-//                     (<immintrin.h>, <arm_neon.h>) outside common/simd —
-//                     vector kernels live behind the dispatch facade
-//                     (scalar reference, runtime dispatch, ACDN_SIMD
-//                     override, bit-identity sweep), so a stray intrinsic
-//                     is invisible to the forced-scalar CI leg
+//                     (<immintrin.h>, <arm_neon.h>) anywhere — there is no
+//                     vector facade; the hot integer kernels are plain
+//                     loops, and a vector path comes back only with an
+//                     end-to-end perfbench win at a shipped scale
 //   nolint-justification  every NOLINT-ACDN directive must name a known
 //                     rule and carry `: <justification>`
 //

@@ -142,6 +142,11 @@ TEST(LintRules, PathAllowlists) {
       "src/sim/world.cpp",
       "auto t0 = std::chrono::steady_clock::now();\n"});
   EXPECT_EQ(count_rule(sim, "wall-clock"), 1) << dump(sim);
+
+  // No path may spell vector intrinsics, the old kernels' home included.
+  const auto intrin = lint_file(FileInput{
+      "src/common/simd.cpp", "#include <immintrin.h>\n__m256i v;\n"});
+  EXPECT_EQ(count_rule(intrin, "raw-intrinsics"), 2) << dump(intrin);
 }
 
 TEST(LintRules, CommentsAndStringsDoNotFire) {

@@ -1,7 +1,5 @@
-// Must-fire: raw vector intrinsics outside common/simd. This kernel has
-// no scalar reference, no dispatch entry, and no ACDN_SIMD override — the
-// forced-scalar CI leg never exercises it, so nothing proves it is
-// bit-identical to the code it replaced.
+// Must-fire: raw vector intrinsics. The tree has no vector code path, and
+// this kernel comes with no end-to-end benchmark win to justify one.
 #include <immintrin.h>
 
 double pair_sum(const double* p) {

@@ -1,14 +1,12 @@
-// Must-pass twin: the same work routed through the common/simd facade,
-// which owns the dispatch table, the scalar reference, and the ACDN_SIMD
-// override — callers stay intrinsic-free. Plus the justified-NOLINT form
-// for the rare case that cannot live in the facade.
+// Must-pass twin: plain library code, which the compiler is free to
+// vectorize; a hand-written vector path needs an end-to-end benchmark win
+// first. Plus the justified-NOLINT form for a hint that changes no result.
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
-#include "common/simd.h"
-
 bool keys_sorted(std::span<const std::uint64_t> keys) {
-  return acdn::simd::is_sorted_u64(keys);
+  return std::is_sorted(keys.begin(), keys.end());
 }
 
 // NOLINT-ACDN(raw-intrinsics): prefetch hint only — no data-path result

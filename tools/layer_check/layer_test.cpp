@@ -158,15 +158,13 @@ TEST(LayerCheck, DefaultConfigIsValid) {
 }
 
 TEST(LayerCheck, BatchKernelHeadersFollowTheCommonEdges) {
-  // The batch-kernel layer (common/radix.h, common/simd.h) is a leaf of
-  // the DAG: every pipeline layer that sorts or packs keys with it
-  // reaches *down* to common, which needs no new edges.
+  // The batch-kernel layer (common/radix.h) is a leaf of the DAG: every
+  // pipeline layer that sorts keys with it reaches *down* to common,
+  // which needs no new edges.
   Checker checker(default_config());
   ASSERT_TRUE(checker.config_violations().empty())
       << dump(checker.config_violations());
-  const std::string kernels =
-      "#include \"common/radix.h\"\n"
-      "#include \"common/simd.h\"\n";
+  const std::string kernels = "#include \"common/radix.h\"\n";
   for (const char* file :
        {"src/analysis/aggregate.cpp", "src/beacon/store.cpp",
         "src/beacon/beacon.cpp", "src/core/streaming.cpp"}) {
@@ -176,7 +174,7 @@ TEST(LayerCheck, BatchKernelHeadersFollowTheCommonEdges) {
   // And the kernels cannot reach back up: common including geo would
   // invert the DAG.
   const auto upward = checker.check_file(
-      "src/common/simd.cpp", "#include \"geo/geo_point.h\"\n");
+      "src/common/radix.h", "#include \"geo/geo_point.h\"\n");
   ASSERT_EQ(upward.size(), 1u) << dump(upward);
   EXPECT_EQ(upward[0].kind, "undeclared-dependency");
 }
