@@ -115,22 +115,6 @@ BeaconSystem::BeaconSystem(const CdnRouter& router,
           }
         });
   }
-
-  // Hoist the deterministic base RTT of every (client, pool slot) out of
-  // the per-fetch path. The path mirrors route_rtt_at's arithmetic
-  // exactly — local client-to-metro km plus the route's total km — so the
-  // per-slot base is bit-identical to what the fetch loop would compute.
-  pool_base_ms_.resize(pool_routes_.size());
-  for (const Client24& c : clients.clients()) {
-    for (std::size_t j = 0; j < stride; ++j) {
-      const std::size_t slot = c.id.value * stride + j;
-      const RouteResult& route = pool_routes_[slot];
-      if (!route.valid) continue;  // slot never read by the hot path
-      pool_base_ms_[slot] =
-          rtt_->base_rtt(client_local_km_[c.id.value] + route.total_km(),
-                         route.as_hops, c.last_mile_ms);
-    }
-  }
 }
 
 std::span<const FrontEndId> BeaconSystem::candidates_for(LdnsId ldns) const {
@@ -152,27 +136,20 @@ RouteResult BeaconSystem::unicast_route(const Client24& client,
     const std::span<const FrontEndId> pool = candidates_for(client.ldns);
     const auto it = std::find(pool.begin(), pool.end(), fe);
     if (it != pool.end()) {
-      const std::size_t stride =
-          static_cast<std::size_t>(config_.candidate_pool);
-      return pool_routes_[client.id.value * stride +
-                          static_cast<std::size_t>(it - pool.begin())];
+      return pool_route(client, static_cast<std::size_t>(it - pool.begin()));
     }
   }
-  const std::uint64_t key = unicast_key(client.access_as, client.metro, fe);
-  {
-    ReaderMutexLock lock(unicast_cache_mutex_);
-    auto it = unicast_cache_.find(key);
-    if (it != unicast_cache_.end()) return it->second;
-  }
-  // Re-check and compute under the exclusive lock: two threads racing on
-  // the same key must not both reach route_unicast, or the
-  // router.unicast_lookups counter varies with scheduling.
-  WriterMutexLock lock(unicast_cache_mutex_);
-  auto it = unicast_cache_.find(key);
-  if (it != unicast_cache_.end()) return it->second;
-  const RouteResult result =
-      router_->route_unicast(client.access_as, client.metro, fe);
-  return unicast_cache_.emplace(key, result).first->second;
+  return router_->route_unicast(client.access_as, client.metro, fe);
+}
+
+const RouteResult& BeaconSystem::pool_route(const Client24& client,
+                                            std::size_t pool_index) const {
+  const std::size_t stride =
+      static_cast<std::size_t>(config_.candidate_pool);
+  const std::size_t slot = client.id.value * stride + pool_index;
+  ACDN_DCHECK_LT(pool_index, candidates_for(client.ldns).size());
+  ACDN_DCHECK_LT(slot, pool_routes_.size());
+  return pool_routes_[slot];
 }
 
 Milliseconds BeaconSystem::route_rtt(const Client24& client,
@@ -209,22 +186,6 @@ Milliseconds BeaconSystem::unicast_rtt(const Client24& client, FrontEndId fe,
   return route_rtt(client, route, when, rng);
 }
 
-Milliseconds BeaconSystem::pooled_unicast_rtt(const Client24& client,
-                                              std::size_t pool_index,
-                                              double diurnal,
-                                              Rng& rng) const {
-  const std::size_t stride =
-      static_cast<std::size_t>(config_.candidate_pool);
-  const std::size_t slot = client.id.value * stride + pool_index;
-  ACDN_DCHECK_LT(pool_index, candidates_for(client.ldns).size());
-  ACDN_DCHECK_LT(slot, pool_routes_.size());
-  const RouteResult& route = pool_routes_[slot];
-  require(route.valid, "unicast prefix unreachable from client");
-  // The caller guarantees population identity (location and last mile
-  // included), so the precomputed base applies verbatim.
-  return rtt_->sample_at(pool_base_ms_[slot], diurnal, rng);
-}
-
 void BeaconSystem::run_beacon(std::uint64_t beacon_id, const Client24& client,
                               const SimTime& when,
                               const RouteResult& anycast_route, Rng& rng,
@@ -239,8 +200,8 @@ void BeaconSystem::run_beacon(std::uint64_t beacon_id, const Client24& client,
   // sequence — one weighted_index over the surviving weights per pick —
   // is exactly the old vector-based one.
   // Pool position of each unicast target (kNoPool for the anycast slot):
-  // population clients resolve unicast routes by direct pool_routes_
-  // index instead of the keyed cache.
+  // population clients read unicast routes by direct pool_routes_ index
+  // instead of searching the pool.
   constexpr std::uint8_t kNoPool = 0xff;
   std::array<BeaconMeasurement::Target, kMaxTargetsPerBeacon> plan;
   std::array<std::uint8_t, kMaxTargetsPerBeacon> plan_pool;
@@ -278,16 +239,9 @@ void BeaconSystem::run_beacon(std::uint64_t beacon_id, const Client24& client,
   }
 
   // The flat route table is keyed by population identity; a synthetic
-  // client (different coordinates under a reused id) goes through
-  // unicast_rtt. Location and last-mile must match too: the pooled path
-  // reads a base RTT precomputed from the population row, so any field
-  // feeding it has to be the population's value.
-  const auto population = clients_->clients();
-  const bool pooled = routes_from_pool(client) &&
-                      population[client.id.value].location ==
-                          client.location &&
-                      population[client.id.value].last_mile_ms ==
-                          client.last_mile_ms;
+  // client (another LDNS, access AS or metro under a reused id) goes
+  // through unicast_rtt.
+  const bool pooled = routes_from_pool(client);
 
   // One browser per page load: Resource Timing support is per-beacon.
   const bool resource_timing = timing_->supports_resource_timing(rng);
@@ -335,9 +289,9 @@ void BeaconSystem::run_beacon(std::uint64_t beacon_id, const Client24& client,
     const Milliseconds true_rtt =
         plan[k].anycast
             ? route_rtt_at(client, anycast_route, diurnal, rng)
-            : (pooled
-                   ? pooled_unicast_rtt(client, plan_pool[k], diurnal, rng)
-                   : unicast_rtt(client, plan[k].front_end, when, rng));
+            : (pooled ? route_rtt_at(client, pool_route(client, plan_pool[k]),
+                                     diurnal, rng)
+                      : unicast_rtt(client, plan[k].front_end, when, rng));
     Milliseconds observed = timing_->observe(true_rtt, resource_timing, rng);
     if (fetch_fired) {
       if (fetch_fired->kind == FaultKind::kDelay) {

@@ -14,14 +14,12 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "beacon/measurement.h"
 #include "cdn/router.h"
 #include "common/rng.h"
 #include "common/sim_clock.h"
-#include "common/thread_annotations.h"
 #include "dns/ldns.h"
 #include "geo/geolocation.h"
 #include "latency/rtt_model.h"
@@ -99,7 +97,8 @@ class BeaconSystem {
   /// True one-sample RTT from `client` to front-end `fe` over the unicast
   /// route (shared by beacon fetches and the Figure-1 sweep). A population
   /// client's own pool candidates read the pre-resolved store; any other
-  /// (client, front-end) resolves once into the overflow cache.
+  /// (client, front-end) calls CdnRouter::route_unicast on every call, so
+  /// a caller asking for many of those memoizes them itself.
   [[nodiscard]] Milliseconds unicast_rtt(const Client24& client, FrontEndId fe,
                                          const SimTime& when, Rng& rng) const;
 
@@ -117,18 +116,16 @@ class BeaconSystem {
   [[nodiscard]] bool routes_from_pool(const Client24& client) const;
 
   /// The unicast route from `client` to `fe`: from pool_routes_ when
-  /// routes_from_pool holds and `fe` is in the pool, else from the
-  /// overflow cache (resolved on first use).
+  /// routes_from_pool holds and `fe` is in the pool, else resolved by
+  /// CdnRouter::route_unicast.
   [[nodiscard]] RouteResult unicast_route(const Client24& client,
                                           FrontEndId fe) const;
 
-  /// Hot-path unicast RTT for a population client's pool candidate: the
-  /// route comes straight out of pool_routes_. `pool_index` must address
-  /// a real candidate of the client's LDNS (DCHECKed).
-  [[nodiscard]] Milliseconds pooled_unicast_rtt(const Client24& client,
-                                                std::size_t pool_index,
-                                                double diurnal,
-                                                Rng& rng) const;
+  /// A population client's route to its pool candidate `pool_index`,
+  /// straight out of pool_routes_. `pool_index` must address a real
+  /// candidate of the client's LDNS (DCHECKed).
+  [[nodiscard]] const RouteResult& pool_route(const Client24& client,
+                                              std::size_t pool_index) const;
 
   /// route_rtt with the diurnal factor precomputed: a beacon's fetches
   /// share one instant, so run_beacon computes it once per beacon.
@@ -150,7 +147,7 @@ class BeaconSystem {
   /// beacon of the same /24. Indexed by ClientId.
   std::vector<Kilometers> client_local_km_;
   std::uint64_t next_beacon_id_ = 0;  // convenience-overload counter only
-  /// The pre-resolved unicast route store, indexed
+  /// The one unicast route store, indexed
   /// `client.id * candidate_pool + pool_index`: every population client's
   /// route to each of its LDNS's candidates, resolved at construction.
   /// Immutable afterwards, so the per-fetch hot path reads it with no
@@ -158,22 +155,6 @@ class BeaconSystem {
   /// indexes it with one array load. Slots past a pool's real candidate
   /// count stay invalid and are never indexed.
   std::vector<RouteResult> pool_routes_;
-  /// Deterministic base RTT per pool_routes_ slot, precomputed with
-  /// RttModel::base_rtt at construction: the base is a pure function
-  /// of (client, route), so hoisting it out of the per-fetch path draws
-  /// the exact same rng stream and bit-identical samples. Slots whose
-  /// route is invalid hold 0 and are never read.
-  std::vector<Milliseconds> pool_base_ms_;
-  /// Overflow cache, (access AS, metro, front-end) -> unicast route, for
-  /// what the store does not hold: front-ends outside the client's pool
-  /// (policy_lab's redirection answers, ad-hoc probes) and synthetic
-  /// clients. Guarded for concurrent simulation days — a double-compute
-  /// race once lived here, and the annotation keeps any future unlocked
-  /// access from compiling on Clang.
-  mutable SharedMutex unicast_cache_mutex_;
-  // NOLINT-ACDN(unordered-decl): keyed memo lookups only, never iterated
-  mutable std::unordered_map<std::uint64_t, RouteResult> unicast_cache_
-      ACDN_GUARDED_BY(unicast_cache_mutex_);
 };
 
 }  // namespace acdn

@@ -25,8 +25,7 @@ DayRoutePlan::DayRoutePlan(const CdnRouter& router,
                            double flap_traffic_share)
     : router_(&router),
       cdn_(&router.cdn()),
-      flap_traffic_share_(flap_traffic_share),
-      walk_cache_(router.anycast_table()) {
+      flap_traffic_share_(flap_traffic_share) {
   require(max_route_alternatives >= 1, "max_route_alternatives must be >= 1");
 
   // Units in sorted (AS, metro) order: identical to iterating the
@@ -50,7 +49,6 @@ DayRoutePlan::DayRoutePlan(const CdnRouter& router,
                            static_cast<std::uint32_t>(slots));
   }
   route_cache_.resize(cand_offset_.back());
-  route_gen_.assign(cand_offset_.back(), 0);  // generation starts at 1
 }
 
 void DayRoutePlan::register_units(RouteDynamics& dynamics) const {
@@ -70,46 +68,36 @@ bool DayRoutePlan::current_for(const RouteDynamics& dynamics) const {
 }
 
 const DayRoute& DayRoutePlan::route_for(const Client24& client) const {
-  ACDN_CHECK(day_routes_ != nullptr);
-  return (*day_routes_)[unit_of(client)];
-}
-
-void DayRoutePlan::invalidate_routes() {
-  walk_cache_.invalidate();
-  built_ = false;
-  metric_count("route_plan.invalidations");
+  ACDN_CHECK(built_) << "route_for before the first build";
+  return day_routes_[unit_of(client)];
 }
 
 const RouteResult& DayRoutePlan::cached_route(std::size_t unit_index,
-                                              const RoutingUnit& unit,
                                               std::size_t candidate,
-                                              std::uint64_t gen,
                                               BuildShard& shard) {
   const std::uint32_t base = cand_offset_[unit_index];
   const std::size_t slots = cand_offset_[unit_index + 1] - base;
   // Clamp exactly like BgpRouteTable::walk so cached answers match the
   // uncached reference for any requested index.
   const std::size_t k = candidate < slots ? candidate : slots - 1;
-  RouteResult& entry = route_cache_[base + k];
-  std::uint64_t& tag = route_gen_[base + k];
-  if (tag == gen) {
+  std::optional<RouteResult>& entry = route_cache_[base + k];
+  if (entry) {
     ++shard.cache_hits;
-    return entry;
+    return *entry;
   }
-  entry = router_->route_anycast_prewalked(walk_cache_.chain(unit.as, k),
-                                           unit.metro);
-  tag = gen;
+  const RoutingUnit& unit = units_[unit_index];
+  entry = router_->route_anycast(unit.as, unit.metro, k);
   ++shard.resolves;
-  return entry;
+  return *entry;
 }
 
 DayRoute DayRoutePlan::plan_unit(std::size_t unit_index,
                                  const RouteDynamics& dynamics, DayIndex day,
-                                 std::uint64_t gen, BuildShard& shard) {
+                                 BuildShard& shard) {
   const RoutingUnit& unit = units_[unit_index];
   const std::size_t selected = dynamics.selected_candidate(unit);
   DayRoute route;
-  route.primary = cached_route(unit_index, unit, selected, gen, shard);
+  route.primary = cached_route(unit_index, selected, shard);
 
   // Front-end outage ("cdn/front_end"): when the primary's site is down
   // today, its anycast announcement is gone and BGP converges on the next
@@ -122,7 +110,7 @@ DayRoute DayRoutePlan::plan_unit(std::size_t unit_index,
     bool rerouted = false;
     for (std::size_t k = 1; k < n && !rerouted; ++k) {
       const RouteResult& fallback =
-          cached_route(unit_index, unit, (selected + k) % n, gen, shard);
+          cached_route(unit_index, (selected + k) % n, shard);
       if (fallback.valid &&
           cdn_->deployment().site_up(fallback.front_end, day)) {
         route.primary = fallback;
@@ -139,8 +127,7 @@ DayRoute DayRoutePlan::plan_unit(std::size_t unit_index,
   }
 
   if (const auto alt = dynamics.flap_alternate(unit)) {
-    const RouteResult& alternate =
-        cached_route(unit_index, unit, *alt, gen, shard);
+    const RouteResult& alternate = cached_route(unit_index, *alt, shard);
     if (alternate.valid && alternate.front_end != route.primary.front_end &&
         (!fail_points_armed() ||
          cdn_->deployment().site_up(alternate.front_end, day))) {
@@ -153,23 +140,11 @@ DayRoute DayRoutePlan::plan_unit(std::size_t unit_index,
 
 void DayRoutePlan::build(const RouteDynamics& dynamics, int threads) {
   const DayIndex day = dynamics.current_day();
-
-  // Prime every access AS's walks serially: chain() below is then a pure
-  // read from any worker. A no-op after the first build of a generation.
-  for (const RoutingUnit& unit : units_) {
-    if (!walk_cache_.primed(unit.as)) walk_cache_.prime(unit.as);
-  }
-
-  std::vector<DayRoute>& routes =
-      arena_.raw_buffer<DayRoute>("day_plan.routes");
-  routes.resize(units_.size());
-  day_routes_ = &routes;
-
-  const std::uint64_t gen = walk_cache_.generation();
+  day_routes_.resize(units_.size());
   const BuildShard totals = Executor::global().parallel_reduce(
       0, units_.size(), threads, kUnitGrain, BuildShard{},
       [&](BuildShard& shard, std::size_t u) {
-        routes[u] = plan_unit(u, dynamics, day, gen, shard);
+        day_routes_[u] = plan_unit(u, dynamics, day, shard);
       },
       [](BuildShard& acc, BuildShard&& shard) {
         acc.resolves += shard.resolves;
@@ -194,7 +169,6 @@ void DayRoutePlan::build(const RouteDynamics& dynamics, int threads) {
   metric_gauge("route_plan.units", static_cast<double>(units_.size()));
   metric_gauge("route_plan.cache_entries",
                static_cast<double>(route_cache_.size()));
-  metric_gauge("route_plan.walks", static_cast<double>(walk_cache_.walks()));
 }
 
 DayRoute DayRoutePlan::resolve_reference(const Client24& client,

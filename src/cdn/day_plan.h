@@ -10,18 +10,18 @@
 // table; World::anycast_today becomes an O(1) lookup through a precomputed
 // client -> unit index.
 //
-// Underneath sits a per-(unit, candidate) RouteResult cache fed by a
-// memoized BGP walk cache (routing/walk_cache.h): base routes are
-// day-invariant, so after the first build a day's plan costs one
-// selected-candidate lookup per unit plus the armed-fault overlay. Cache
-// entries are generation-tagged; invalidate_routes() bumps the generation
-// for callers that rebuild the underlying route table.
+// Underneath sits one route slot per (unit, candidate), filled on first
+// use by CdnRouter::route_anycast and kept for the plan's lifetime: base
+// routes are day-invariant (the route tables are computed once per
+// World), so after the first build a day's plan costs one selected-
+// candidate lookup per unit plus the armed-fault overlay.
 //
 // Determinism: units are enumerated in sorted (AS, metro) order — the
 // exact order World used to register them — and the build shards units
-// over the Executor's thread-count-independent chunk plan. Each cache
-// entry belongs to exactly one unit, so the parallel build writes without
-// locks and produces bit-identical plans for any thread count.
+// over the Executor's thread-count-independent chunk plan. Each slot
+// belongs to exactly one unit, so the build chunk that owns the unit
+// fills it without locks, and the plan is bit-identical for any thread
+// count.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,7 @@
 #include <vector>
 
 #include "cdn/router.h"
-#include "common/arena.h"
 #include "routing/dynamics.h"
-#include "routing/walk_cache.h"
 #include "workload/clients.h"
 
 namespace acdn {
@@ -49,7 +47,7 @@ struct DayRoute {
 class DayRoutePlan {
  public:
   /// Enumerates the routing units of `clients` (sorted by (AS, metro))
-  /// and sizes the route cache: one slot per (unit, anycast candidate).
+  /// and sizes the route slots: one per (unit, anycast candidate).
   /// `clients` must have dense ids (id.value == index), as produced by
   /// ClientPopulation.
   DayRoutePlan(const CdnRouter& router, std::span<const Client24> clients,
@@ -79,14 +77,8 @@ class DayRoutePlan {
                                            const RouteDynamics& dynamics)
       const;
 
-  /// Drops every cached base route (generation bump); the next build
-  /// re-resolves. For callers that recompute the underlying route table.
-  void invalidate_routes();
-
   [[nodiscard]] std::size_t unit_count() const { return units_.size(); }
   [[nodiscard]] std::size_t unit_of(const Client24& client) const;
-  [[nodiscard]] const WalkCache& walks() const { return walk_cache_; }
-  [[nodiscard]] DayIndex built_day() const { return built_day_; }
 
  private:
   struct BuildShard {
@@ -96,19 +88,17 @@ class DayRoutePlan {
     std::uint64_t no_failover = 0;
   };
 
-  /// The cached base route for (`unit_index`, `candidate`), resolving on
-  /// generation mismatch. Only the build chunk that owns `unit_index`
-  /// may call this — entries are unit-private, so no synchronisation.
+  /// The base route for (`unit_index`, `candidate`), resolved into its
+  /// slot on first use. Only the build chunk that owns `unit_index` may
+  /// call this — slots are unit-private, so no synchronisation.
   const RouteResult& cached_route(std::size_t unit_index,
-                                  const RoutingUnit& unit,
-                                  std::size_t candidate, std::uint64_t gen,
-                                  BuildShard& shard);
+                                  std::size_t candidate, BuildShard& shard);
 
   /// One unit's DayRoute for `day`: selected candidate, armed front-end
   /// outage failover, flap alternate. The plan-build mirror of
   /// resolve_reference.
   DayRoute plan_unit(std::size_t unit_index, const RouteDynamics& dynamics,
-                     DayIndex day, std::uint64_t gen, BuildShard& shard);
+                     DayIndex day, BuildShard& shard);
 
   const CdnRouter* router_;
   const CdnNetwork* cdn_;
@@ -126,16 +116,10 @@ class DayRoutePlan {
   /// client id -> unit index.
   std::vector<std::uint32_t> client_unit_;
 
-  WalkCache walk_cache_;
-  /// Flat per-(unit, candidate) base routes with per-entry generation
-  /// tags; an entry is live iff its tag equals the walk-cache generation.
-  std::vector<RouteResult> route_cache_;
-  std::vector<std::uint64_t> route_gen_;
-
-  /// Per-day outputs live in the arena: same capacity every day, elements
-  /// overwritten in place by each build.
-  ScratchArena arena_;
-  std::vector<DayRoute>* day_routes_ = nullptr;
+  /// Flat per-(unit, candidate) base routes; empty until first resolved.
+  std::vector<std::optional<RouteResult>> route_cache_;
+  /// The last build's routes, one per unit, overwritten in place.
+  std::vector<DayRoute> day_routes_;
 
   bool built_ = false;
   DayIndex built_day_ = 0;

@@ -93,24 +93,6 @@ CdnRouter::Trace CdnRouter::trace_anycast(AsId access, MetroId metro,
   return trace;
 }
 
-RouteResult CdnRouter::route_anycast_prewalked(std::span<const AsId> chain,
-                                               MetroId metro) const {
-  metric_count("router.anycast_lookups");
-  RouteResult result;
-  const ForwardingPath path = unfolder_.unfold_chain(
-      chain, metro, cdn_->anycast_announce_metros(),
-      anycast_announce_sorted_);
-  if (!path.valid) return result;
-  result.valid = true;
-  result.ingress_metro = path.ingress_metro;
-  result.front_end = cdn_->nearest_front_end(path.ingress_metro);
-  result.path_km = path.total_km;
-  result.backbone_km = cdn_->backbone_km(path.ingress_metro,
-                                         result.front_end);
-  result.as_hops = path.as_hops;
-  return result;
-}
-
 UnitRoutes CdnRouter::route_anycast_units(std::span<const Client24> clients,
                                           int threads) const {
   UnitRoutes out{UnitIndex::of(clients), {}};

@@ -62,7 +62,9 @@ class CdnRouter {
 
   /// Anycast route for a client behind `access` in `metro`, using the
   /// access AS's `candidate_index`-th ranked BGP route (0 = best; route
-  /// dynamics select alternates over time).
+  /// dynamics select alternates over time). The one anycast resolution
+  /// path: the day-route plan (cdn/day_plan.h) fills each of its
+  /// (unit, candidate) slots with one call.
   [[nodiscard]] RouteResult route_anycast(AsId access, MetroId metro,
                                           std::size_t candidate_index = 0)
       const;
@@ -78,20 +80,6 @@ class CdnRouter {
   /// Number of distinct anycast route candidates at `access` — the degrees
   /// of freedom route dynamics can exercise.
   [[nodiscard]] std::size_t anycast_candidate_count(AsId access) const;
-
-  /// The anycast-prefix route table, for callers that memoize walks over
-  /// it (routing/walk_cache.h feeding the day-route plan).
-  [[nodiscard]] const BgpRouteTable& anycast_table() const {
-    return anycast_table_;
-  }
-
-  /// route_anycast with the AS-level walk already done: `chain` is the
-  /// anycast-table walk for the desired (access, candidate). Skips the
-  /// per-call table walk and announce-set build; the result is identical
-  /// to route_anycast for the same inputs. This is the day-route plan's
-  /// resolution path.
-  [[nodiscard]] RouteResult route_anycast_prewalked(
-      std::span<const AsId> chain, MetroId metro) const;
 
   /// Like route_anycast, but also returns the geographic path — hop-by-hop
   /// detail for traceroute emulation and diagnosis.

@@ -308,7 +308,10 @@ void Executor::run_chunked(std::size_t begin, std::size_t end,
   // One lock + one wake per stripe member: push all of a worker's chunks
   // in a single critical section rather than locking per chunk. The tasks
   // already queued on the stripe (from concurrent or nested batches) are
-  // summed in passing — a free queue-depth sample at submit time.
+  // summed in passing — a free queue-depth reading at submit time. It
+  // depends on how fast the workers drained and a serial batch takes no
+  // reading, so it is a scheduling count, not a histogram whose sample
+  // count would vary with the thread count.
   std::size_t queued_before = 0;
   for (std::size_t h = 0; h < helpers; ++h) {
     Worker& w = *workers_[(batch.stripe_base + h) % pool];
@@ -322,7 +325,7 @@ void Executor::run_chunked(std::size_t begin, std::size_t end,
     }
     w.wake.notify_one();
   }
-  metric_observe("executor.queue_depth", double(queued_before));
+  metric_count_scheduling("executor.queued_at_submit", queued_before);
 
   // The submitter works too: drain this batch's chunks (stealing them
   // back from worker deques), then sleep until the in-flight remainder

@@ -5,8 +5,9 @@
 //   * counters    — monotonically increasing integer totals (exact across
 //                   threads: per-thread shards sum on snapshot);
 //   * scheduling  — counters of how the executor's threads happened to
-//                   interleave (work steals): summed like counters, but
-//                   kept apart because no rerun has to reproduce them;
+//                   interleave (work steals, tasks already queued when a
+//                   batch is submitted): summed like counters, but kept
+//                   apart because no rerun has to reproduce them;
 //   * gauges      — last-written double values (sizes, thread counts);
 //   * histograms  — streaming latency/size distributions: count, sum,
 //                   min, max plus P² p50/p75/p95/p99 (stats/p2.h), one

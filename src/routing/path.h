@@ -49,11 +49,11 @@ class PathUnfolder {
       std::span<const MetroId> announce_metros,
       std::size_t candidate_index = 0) const;
 
-  /// Same unfolding with the AS-level walk already done (routing/
-  /// walk_cache.h memoizes them): `chain` is the path BgpRouteTable::walk
-  /// would return for the selected candidate. `announce_sorted` holds the
-  /// same metros as `announce_metros` in ascending order — callers on the
-  /// hot path precompute it once per table instead of per unfold.
+  /// Same unfolding with the AS-level walk already done: `chain` is the
+  /// path BgpRouteTable::walk returns for the selected candidate.
+  /// `announce_sorted` holds the same metros as `announce_metros` in
+  /// ascending order — CdnRouter precomputes it once per table instead
+  /// of per unfold.
   [[nodiscard]] ForwardingPath unfold_chain(
       std::span<const AsId> chain, MetroId client_metro,
       std::span<const MetroId> announce_metros,

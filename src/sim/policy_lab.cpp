@@ -1,5 +1,8 @@
 #include "sim/policy_lab.h"
 
+#include <map>
+#include <tuple>
+
 #include "common/error.h"
 
 namespace acdn {
@@ -23,6 +26,11 @@ std::vector<StrategyOutcome> PolicyLab::run(int days) {
   World& world = *world_;
   Simulation sim(world);
   Rng rng = world.fork_rng("policy-lab");
+  // Unicast answers often name a front end outside the client's LDNS
+  // pool, which the beacon resolves on every call. This loop is serial,
+  // so it keeps each (access AS, metro, front end) route it resolves.
+  std::map<std::tuple<AsId, MetroId, FrontEndId>, RouteResult>
+      unicast_routes;
 
   for (DayIndex day = 0; day < days; ++day) {
     sim.run_day();
@@ -31,7 +39,7 @@ std::vector<StrategyOutcome> PolicyLab::run(int days) {
     }
 
     for (const Client24& client : world.clients().clients()) {
-      const World::DayRoute route = world.anycast_today(client);
+      const DayRoute route = world.anycast_today(client);
       if (!route.primary.valid) continue;
       for (int s = 0; s < config_.samples_per_client_day; ++s) {
         const SimTime when = world.schedule().sample_query_time(day, rng);
@@ -53,8 +61,13 @@ std::vector<StrategyOutcome> PolicyLab::run(int days) {
             rtt = world.beacon().route_rtt(client, r, when, rng);
           } else {
             ++strategy.unicast_answers;
-            rtt = world.beacon().unicast_rtt(client, answer.front_end, when,
-                                             rng);
+            const auto [it, inserted] = unicast_routes.try_emplace(
+                {client.access_as, client.metro, answer.front_end});
+            if (inserted) {
+              it->second = world.router().route_unicast(
+                  client.access_as, client.metro, answer.front_end);
+            }
+            rtt = world.beacon().route_rtt(client, it->second, when, rng);
           }
           strategy.achieved.add(rtt, client.daily_queries);
         }

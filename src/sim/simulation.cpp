@@ -122,7 +122,7 @@ DayStats Simulation::kernel_into(std::vector<DnsLogEntry>& dns_log,
         schedule.expected_queries_when_active(client, day);
     if (expected <= 0.0) return;
 
-    const World::DayRoute route = w.anycast_today(client);
+    const DayRoute route = w.anycast_today(client);
     if (!route.primary.valid) return;  // unreachable (never in practice)
     out.active = true;
     // Per-(active client, day) expected query volume: the histogram's sum

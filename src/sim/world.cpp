@@ -75,7 +75,7 @@ void World::prepare_day(DayIndex day, int threads) {
   plan_->build(*dynamics_, threads);
 }
 
-World::DayRoute World::anycast_today(const Client24& client) const {
+DayRoute World::anycast_today(const Client24& client) const {
   ACDN_CHECK(plan_->current_for(*dynamics_))
       << "anycast_today on a stale day plan: call prepare_day after "
          "advancing route dynamics";

@@ -49,11 +49,6 @@ class World {
     return Rng(config_.seed).fork(label);
   }
 
-  /// A client's anycast routing for the dynamics' current day (the
-  /// struct now lives in cdn/day_plan.h; this alias keeps call sites
-  /// spelled World::DayRoute working).
-  using DayRoute = acdn::DayRoute;
-
   /// Advances route dynamics to `day` and rebuilds the day-route plan so
   /// anycast_today answers from the per-unit table. The day driver
   /// (Simulation::run_day) calls this once per day before fanning out.
@@ -64,7 +59,6 @@ class World {
   [[nodiscard]] DayRoute anycast_today(const Client24& client) const;
 
   [[nodiscard]] const DayRoutePlan& day_plan() const { return *plan_; }
-  [[nodiscard]] DayRoutePlan& day_plan() { return *plan_; }
 
  private:
   ScenarioConfig config_;

@@ -132,6 +132,15 @@ std::uint64_t counter_or_zero(const MetricsSnapshot& snap,
   return it == snap.counters.end() ? 0u : it->second;
 }
 
+/// Each histogram's sample count by name: the deterministic part of a
+/// histogram (its P² quantiles are not).
+std::map<std::string, std::uint64_t> histogram_counts(
+    const MetricsSnapshot& snap) {
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& [name, stats] : snap.histograms) counts[name] = stats.count;
+  return counts;
+}
+
 TEST(Chaos, ScenarioUnderFaultsCompletesAndFires) {
   const ChaosRun run = run_chaos(2, chaos_seed());
   // Degraded, not dead: measurements still flow under 10% beacon loss.
@@ -155,6 +164,14 @@ TEST(Chaos, DigestsIdenticalAcrossThreadCounts) {
   // decision coordinate is simulation state, never thread identity.
   EXPECT_EQ(one.trigger_counts, two.trigger_counts);
   EXPECT_EQ(one.trigger_counts, eight.trigger_counts);
+  // So are the manifest's deterministic metric sections: counters, gauges
+  // and histogram names and counts. Quantiles and phase timings are not.
+  for (const ChaosRun* other : {&two, &eight}) {
+    EXPECT_EQ(one.metrics.counters, other->metrics.counters);
+    EXPECT_EQ(one.metrics.gauges, other->metrics.gauges);
+    EXPECT_EQ(histogram_counts(one.metrics),
+              histogram_counts(other->metrics));
+  }
 }
 
 TEST(Chaos, RepeatedRunsAreByteIdentical) {

@@ -7,16 +7,21 @@
 //   * A lookup after dynamics advanced without prepare_day dies instead
 //     of answering from the stale plan; prepare_day makes it valid again.
 //   * The client -> unit index groups exactly by (access AS, metro).
-//   * Base routes are resolved once: later days answer from the cache.
+//   * Base routes are resolved once per (unit, candidate) slot: later
+//     days and rebuilds answer from the slot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "sim/scenario.h"
 #include "sim/world.h"
 
@@ -77,7 +82,7 @@ TEST(DayPlan, LookupMatchesPerClientReferenceAcrossDaysAndThreads) {
   }
 }
 
-TEST(DayPlan, StaleFallbackAnswersWithoutABuild) {
+TEST(DayPlan, StalePlanLookupDiesUntilPrepareDay) {
   // The executor pool is live in this process: fork-and-reexec style.
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   ScenarioConfig config = ScenarioConfig::small_test();
@@ -132,14 +137,43 @@ TEST(DayPlan, UnitIndexGroupsClientsByAccessAsAndMetro) {
 }
 
 TEST(DayPlan, BaseRoutesAreResolvedOnceAcrossDays) {
+  // Dynamics and front-end outages make the build visit alternates and
+  // failover candidates; each slot must still cost one route_anycast.
+  const bool was_enabled = metrics_enabled();
+  set_metrics_enabled(true);
   ScenarioConfig config = ScenarioConfig::small_test();
+  config.faults = plan_stress_schedule();
   World world(config);
-  world.prepare_day(0, 2);
-  const std::size_t walks_after_first = world.day_plan().walks().walks();
-  ASSERT_GT(walks_after_first, 0u);
-  for (DayIndex day = 1; day < 4; ++day) world.prepare_day(day, 2);
-  // Every chain was memoized on day 0; later days re-use it.
-  EXPECT_EQ(world.day_plan().walks().walks(), walks_after_first);
+  const MetricsSnapshot start = MetricsRegistry::global().snapshot();
+  const auto since_start = [&](const std::string& name) {
+    const auto count = [&](const MetricsSnapshot& snap) {
+      const auto it = snap.counters.find(name);
+      return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+    };
+    return count(MetricsRegistry::global().snapshot()) - count(start);
+  };
+
+  for (DayIndex day = 0; day < 6; ++day) world.prepare_day(day, 2);
+  const std::uint64_t lookups = since_start("router.anycast_lookups");
+  ASSERT_GT(lookups, 0u);
+  EXPECT_EQ(lookups, since_start("route_plan.resolves"));
+
+  // A second build of the same day answers every unit from its slots.
+  world.prepare_day(5, 2);
+  EXPECT_EQ(since_start("router.anycast_lookups"), lookups);
+
+  // No slot is resolved twice.
+  std::set<std::tuple<AsId, MetroId, std::size_t>> slots;
+  for (const Client24& client : world.clients().clients()) {
+    const std::size_t candidates = std::max<std::size_t>(
+        1, world.router().anycast_candidate_count(client.access_as));
+    for (std::size_t k = 0; k < candidates; ++k) {
+      slots.emplace(client.access_as, client.metro, k);
+    }
+  }
+  EXPECT_LE(lookups, slots.size());
+
+  set_metrics_enabled(was_enabled);
 }
 
 }  // namespace
