@@ -136,6 +136,30 @@ void BM_RouteAnycastLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteAnycastLookup);
 
+/// Each client's unicast route to every front end of its LDNS candidate
+/// pool, in turn: the keys the beacon precompute resolves.
+void BM_RouteUnicastLookup(benchmark::State& state) {
+  const World& world = shared_world();
+  struct Key {
+    AsId as;
+    MetroId metro;
+    FrontEndId fe;
+  };
+  std::vector<Key> keys;
+  for (const Client24& c : world.clients().clients()) {
+    for (const FrontEndId fe : world.beacon().candidates_for(c.ldns)) {
+      keys.push_back(Key{c.access_as, c.metro, fe});
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Key& k = keys[i++ % keys.size()];
+    benchmark::DoNotOptimize(
+        world.router().route_unicast(k.as, k.metro, k.fe));
+  }
+}
+BENCHMARK(BM_RouteUnicastLookup);
+
 void BM_BeaconRun(benchmark::State& state) {
   World& world = const_cast<World&>(shared_world());
   Rng rng(7);

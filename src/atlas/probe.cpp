@@ -5,8 +5,10 @@ namespace acdn {
 ProbeSet ProbeSet::place(const AsGraph& graph, int per_metro, Rng& rng) {
   ProbeSet set;
   Rng gen = rng.fork("atlas-probes");
+  const std::vector<std::vector<AsId>> isps_by_metro =
+      graph.access_ases_by_metro();
   for (const Metro& m : graph.metros().all()) {
-    const std::vector<AsId> isps = graph.access_ases_in(m.id);
+    const std::vector<AsId>& isps = isps_by_metro[m.id.value];
     if (isps.empty()) continue;
     for (int i = 0; i < per_metro; ++i) {
       Probe p;

@@ -44,6 +44,7 @@ CdnNetwork::CdnNetwork(AsGraph& graph, Deployment deployment,
   }
 
   // Hot-potato interior routing: nearest front-end by IGP cost per PoP.
+  nearest_fe_.resize(metros.size());
   for (MetroId pop : presence_) {
     FrontEndId best = deployment_.sites().front().id;
     Kilometers best_cost =
@@ -55,7 +56,7 @@ CdnNetwork::CdnNetwork(AsGraph& graph, Deployment deployment,
         best_cost = cost;
       }
     }
-    nearest_fe_[pop] = best;
+    nearest_fe_[pop.value] = best;
   }
 }
 
@@ -67,11 +68,12 @@ const std::vector<MetroId>& CdnNetwork::unicast_announce_metros(
 }
 
 FrontEndId CdnNetwork::nearest_front_end(MetroId ingress) const {
-  auto it = nearest_fe_.find(ingress);
-  require(it != nearest_fe_.end(),
-          "ingress metro is not a CDN PoP: " +
-              graph_->metros().metro(ingress).name);
-  return it->second;
+  if (ingress.value >= nearest_fe_.size() ||
+      !nearest_fe_[ingress.value].valid()) {
+    throw ConfigError("ingress metro is not a CDN PoP: " +
+                      graph_->metros().metro(ingress).name);
+  }
+  return nearest_fe_[ingress.value];
 }
 
 Kilometers CdnNetwork::backbone_km(MetroId ingress, FrontEndId fe) const {

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "cdn/deployment.h"
@@ -70,8 +69,8 @@ class CdnNetwork {
   std::vector<MetroId> presence_;
   BackboneGraph backbone_;
   std::vector<std::vector<MetroId>> unicast_announce_;  // per front-end
-  // NOLINT-ACDN(unordered-decl): per-metro lookups only, never iterated
-  std::unordered_map<MetroId, FrontEndId> nearest_fe_;  // per PoP metro
+  /// Indexed by metro id; invalid for a metro without a PoP.
+  std::vector<FrontEndId> nearest_fe_;
 };
 
 }  // namespace acdn

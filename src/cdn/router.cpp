@@ -70,7 +70,11 @@ CdnRouter::CdnRouter(const AsGraph& graph, const CdnNetwork& cdn,
 RouteResult CdnRouter::route_anycast(AsId access, MetroId metro,
                                      std::size_t candidate_index) const {
   metric_count("router.anycast_lookups");
-  return trace_anycast(access, metro, candidate_index).result;
+  const std::vector<AsId> chain =
+      anycast_table_.walk(access, candidate_index);
+  return anycast_result(unfolder_.unfold_chain(
+      chain, metro, cdn_->anycast_announce_metros(),
+      anycast_announce_sorted_));
 }
 
 CdnRouter::Trace CdnRouter::trace_anycast(AsId access, MetroId metro,
@@ -78,19 +82,23 @@ CdnRouter::Trace CdnRouter::trace_anycast(AsId access, MetroId metro,
   Trace trace;
   const std::vector<AsId> chain =
       anycast_table_.walk(access, candidate_index);
-  trace.path = unfolder_.unfold_chain(chain, metro,
-                                      cdn_->anycast_announce_metros(),
-                                      anycast_announce_sorted_);
-  if (!trace.path.valid) return trace;
-  RouteResult& result = trace.result;
-  result.valid = true;
-  result.ingress_metro = trace.path.ingress_metro;
-  result.front_end = cdn_->nearest_front_end(trace.path.ingress_metro);
-  result.path_km = trace.path.total_km;
-  result.backbone_km =
-      cdn_->backbone_km(trace.path.ingress_metro, result.front_end);
-  result.as_hops = trace.path.as_hops;
+  trace.path = unfolder_.trace_chain(chain, metro,
+                                     cdn_->anycast_announce_metros(),
+                                     anycast_announce_sorted_);
+  trace.result = anycast_result(trace.path);
   return trace;
+}
+
+RouteResult CdnRouter::anycast_result(const ForwardingPath& path) const {
+  RouteResult result;
+  if (!path.valid) return result;
+  result.valid = true;
+  result.ingress_metro = path.ingress_metro;
+  result.front_end = cdn_->nearest_front_end(path.ingress_metro);
+  result.path_km = path.total_km;
+  result.backbone_km = cdn_->backbone_km(path.ingress_metro, result.front_end);
+  result.as_hops = path.as_hops;
+  return result;
 }
 
 UnitRoutes CdnRouter::route_anycast_units(std::span<const Client24> clients,

@@ -98,6 +98,9 @@ class CdnRouter {
   [[nodiscard]] const CdnNetwork& cdn() const { return *cdn_; }
 
  private:
+  /// The anycast RouteResult of an unfolded path (invalid if `path` is).
+  [[nodiscard]] RouteResult anycast_result(const ForwardingPath& path) const;
+
   const CdnNetwork* cdn_;
   PathUnfolder unfolder_;
   BgpRouteTable anycast_table_;

@@ -5,7 +5,6 @@
 
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 namespace acdn {
 
@@ -29,9 +28,11 @@ class NotFoundError : public Error {
 };
 
 /// Throws ConfigError if `ok` is false. Use for validating scenario knobs.
-/// Takes a view so that a literal message costs no allocation when `ok`.
-inline void require(bool ok, std::string_view message) {
-  if (!ok) throw ConfigError(std::string(message));
+/// The message is a literal, so a passing check costs no allocation; a
+/// message built at run time belongs in `if (!ok) throw ConfigError(...)`,
+/// which builds it only on failure.
+inline void require(bool ok, const char* message) {
+  if (!ok) throw ConfigError(message);
 }
 
 }  // namespace acdn

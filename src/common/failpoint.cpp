@@ -96,21 +96,28 @@ std::span<const std::string_view> known_fail_points() {
 
 void FaultSchedule::validate() const {
   for (const FaultRule& rule : rules) {
-    require(point_index(rule.point).has_value(),
-            "fault rule names unknown fail point: " + rule.point);
-    require(std::isfinite(rule.probability) && rule.probability >= 0.0 &&
-                rule.probability <= 1.0,
-            "fault probability must be in [0, 1]: " + rule.point);
-    require(rule.first_day >= 0,
-            "fault window first_day must be >= 0: " + rule.point);
-    require(rule.last_day == kFaultWindowOpen ||
-                rule.last_day >= rule.first_day,
-            "fault window is empty (last_day < first_day): " + rule.point);
-    require(std::isfinite(rule.magnitude) && rule.magnitude >= 0.0,
-            "fault magnitude must be finite and >= 0: " + rule.point);
-    if (rule.kind == FaultKind::kDelay || rule.kind == FaultKind::kCorrupt) {
-      require(rule.magnitude > 0.0,
-              "delay/corrupt fault needs a positive magnitude: " + rule.point);
+    if (!point_index(rule.point).has_value()) {
+      throw ConfigError("fault rule names unknown fail point: " + rule.point);
+    }
+    if (!(std::isfinite(rule.probability) && rule.probability >= 0.0 &&
+          rule.probability <= 1.0)) {
+      throw ConfigError("fault probability must be in [0, 1]: " + rule.point);
+    }
+    if (rule.first_day < 0) {
+      throw ConfigError("fault window first_day must be >= 0: " + rule.point);
+    }
+    if (rule.last_day != kFaultWindowOpen && rule.last_day < rule.first_day) {
+      throw ConfigError("fault window is empty (last_day < first_day): " +
+                        rule.point);
+    }
+    if (!(std::isfinite(rule.magnitude) && rule.magnitude >= 0.0)) {
+      throw ConfigError("fault magnitude must be finite and >= 0: " +
+                        rule.point);
+    }
+    if ((rule.kind == FaultKind::kDelay || rule.kind == FaultKind::kCorrupt) &&
+        !(rule.magnitude > 0.0)) {
+      throw ConfigError("delay/corrupt fault needs a positive magnitude: " +
+                        rule.point);
     }
   }
   // At most one rule may govern a (point, day) pair; otherwise which rule
@@ -119,8 +126,10 @@ void FaultSchedule::validate() const {
   for (std::size_t i = 0; i < rules.size(); ++i) {
     for (std::size_t j = i + 1; j < rules.size(); ++j) {
       if (rules[i].point != rules[j].point) continue;
-      require(!windows_overlap(rules[i], rules[j]),
-              "overlapping fault windows for point: " + rules[i].point);
+      if (windows_overlap(rules[i], rules[j])) {
+        throw ConfigError("overlapping fault windows for point: " +
+                          rules[i].point);
+      }
     }
   }
 }

@@ -305,8 +305,16 @@ constexpr RawMetro kWorldMetros[] = {
 
 MetroDatabase::MetroDatabase(std::vector<Metro> metros)
     : metros_(std::move(metros)) {
-  for (std::size_t i = 0; i < metros_.size(); ++i) {
+  const std::size_t n = metros_.size();
+  for (std::size_t i = 0; i < n; ++i) {
     metros_[i].id = MetroId(static_cast<std::uint32_t>(i));
+  }
+  distance_.resize(n * n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      distance_[a * n + b] =
+          haversine_km(metros_[a].location, metros_[b].location);
+    }
   }
 }
 
@@ -323,10 +331,12 @@ const MetroDatabase& MetroDatabase::world() {
   return db;
 }
 
+void MetroDatabase::throw_unknown(MetroId id) {
+  throw NotFoundError("metro id " + std::to_string(id.value));
+}
+
 const Metro& MetroDatabase::metro(MetroId id) const {
-  if (!id.valid() || id.value >= metros_.size()) {
-    throw NotFoundError("metro id " + std::to_string(id.value));
-  }
+  if (!id.valid() || id.value >= metros_.size()) throw_unknown(id);
   return metros_[id.value];
 }
 
@@ -403,10 +413,6 @@ std::optional<MetroId> MetroDatabase::find_by_name(
     if (m.name == name) return m.id;
   }
   return std::nullopt;
-}
-
-Kilometers MetroDatabase::distance_km(MetroId a, MetroId b) const {
-  return haversine_km(metro(a).location, metro(b).location);
 }
 
 }  // namespace acdn

@@ -29,6 +29,10 @@ struct Metro {
 
 /// Immutable registry of metros. Obtain the built-in data set with world();
 /// tests may construct smaller databases directly.
+///
+/// Construction fills a row-major table of every ordered pair's
+/// haversine_km between metro centers (the world set's 266 metros take
+/// 566 KB), so distance_km is one load.
 class MetroDatabase {
  public:
   explicit MetroDatabase(std::vector<Metro> metros);
@@ -58,10 +62,20 @@ class MetroDatabase {
   /// Case-sensitive exact-name lookup; nullopt if absent.
   [[nodiscard]] std::optional<MetroId> find_by_name(std::string_view name) const;
 
-  [[nodiscard]] Kilometers distance_km(MetroId a, MetroId b) const;
+  /// haversine_km between the two metros' centers, read from the table.
+  /// Throws NotFoundError for an id outside the database.
+  [[nodiscard]] Kilometers distance_km(MetroId a, MetroId b) const {
+    const std::size_t n = metros_.size();
+    if (a.value >= n) throw_unknown(a);
+    if (b.value >= n) throw_unknown(b);
+    return distance_[std::size_t{a.value} * n + b.value];
+  }
 
  private:
+  [[noreturn]] static void throw_unknown(MetroId id);
+
   std::vector<Metro> metros_;
+  std::vector<Kilometers> distance_;  // [a * size() + b]
 };
 
 }  // namespace acdn

@@ -1,10 +1,11 @@
 #include "report/export.h"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -15,25 +16,33 @@ namespace acdn {
 
 namespace {
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  // The exporters only emit unquoted numeric fields, so a plain split is
-  // sufficient (and rejects quoted content as malformed numbers later).
-  std::vector<std::string> out;
-  std::stringstream stream(line);
-  std::string field;
-  while (std::getline(stream, field, ',')) out.push_back(field);
-  return out;
+/// Splits `line` at every comma into views of it, stored in `fields`, and
+/// returns the field count; fields past `fields.size()` are counted but
+/// not stored. The exporters only emit unquoted numeric fields, so a plain
+/// split is sufficient (and rejects quoted content as malformed numbers
+/// later). A trailing comma ends in an empty field, so the row's count is
+/// off and the row is rejected.
+std::size_t split_csv_line(std::string_view line,
+                           std::span<std::string_view> fields) {
+  std::size_t count = 0;
+  while (true) {
+    const std::size_t comma = line.find(',');
+    if (count < fields.size()) fields[count] = line.substr(0, comma);
+    ++count;
+    if (comma == std::string_view::npos) return count;
+    line.remove_prefix(comma + 1);
+  }
 }
 
 /// Reads a double field as the writer writes it: the whole field must be
 /// std::from_chars text, which ignores the locale and rejects leading
 /// space, a '+' sign and hex floats.
-double parse_double(const std::string& s) {
+double parse_double(std::string_view s) {
   const char* const end = s.data() + s.size();
   double v = 0.0;
   const auto [ptr, ec] = std::from_chars(s.data(), end, v);
   if (ec != std::errc{} || ptr != end) {
-    throw Error("export: malformed numeric field '" + s + "'");
+    throw Error("export: malformed numeric field '" + std::string(s) + "'");
   }
   return v;
 }
@@ -54,7 +63,7 @@ char* format_integer(char* out, std::uint64_t v) {
 /// below 2^53. So "7.036928e+13" reads as 70369280000000, while "1.5" and
 /// "7.0369280000000001e+13" (which only rounds to an integer) are
 /// rejected.
-std::uint64_t parse_u64(const std::string& s) {
+std::uint64_t parse_u64(std::string_view s) {
   const char* const begin = s.data();
   const char* const end = begin + s.size();
   std::uint64_t v = 0;
@@ -68,7 +77,10 @@ std::uint64_t parse_u64(const std::string& s) {
     char text[CsvWriter::kMaxNumberChars];
     exact = std::string_view(text, CsvWriter::format_number(text, d)) == s;
   }
-  require(exact, "export: malformed integer field '" + s + "'");
+  if (!exact) {
+    throw ConfigError("export: malformed integer field '" + std::string(s) +
+                      "'");
+  }
   return static_cast<std::uint64_t>(d);
 }
 
@@ -97,13 +109,16 @@ PassiveLog import_passive_log(const std::string& path) {
   std::ifstream in = open_or_throw(path);
   std::string line;
   require(static_cast<bool>(std::getline(in, line)), "export: empty file");
-  require(line == "day,client,front_end,queries",
-          "export: unexpected passive log header: " + line);
+  if (line != "day,client,front_end,queries") {
+    throw ConfigError("export: unexpected passive log header: " + line);
+  }
   PassiveLog log;
+  std::array<std::string_view, 4> fields;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto fields = split_csv_line(line);
-    require(fields.size() == 4, "export: bad passive row: " + line);
+    if (split_csv_line(line, fields) != fields.size()) {
+      throw ConfigError("export: bad passive row: " + line);
+    }
     PassiveLogEntry entry;
     entry.day = static_cast<DayIndex>(parse_u64(fields[0]));
     entry.client = ClientId(static_cast<std::uint32_t>(parse_u64(fields[1])));
@@ -152,17 +167,19 @@ MeasurementStore import_measurements(const std::string& path) {
   std::ifstream in = open_or_throw(path);
   std::string line;
   require(static_cast<bool>(std::getline(in, line)), "export: empty file");
-  require(line ==
-              "beacon_id,day,hour,client,ldns,anycast,front_end,rtt_ms",
-          "export: unexpected measurement header: " + line);
+  if (line != "beacon_id,day,hour,client,ldns,anycast,front_end,rtt_ms") {
+    throw ConfigError("export: unexpected measurement header: " + line);
+  }
 
   // Rebuild beacons by id, preserving day grouping.
   std::map<std::uint64_t, BeaconMeasurement> beacons;
   std::vector<std::uint64_t> order;
+  std::array<std::string_view, 8> fields;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto fields = split_csv_line(line);
-    require(fields.size() == 8, "export: bad measurement row: " + line);
+    if (split_csv_line(line, fields) != fields.size()) {
+      throw ConfigError("export: bad measurement row: " + line);
+    }
     const std::uint64_t beacon_id = parse_u64(fields[0]);
     auto it = beacons.find(beacon_id);
     if (it == beacons.end()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <set>
 
 #include "common/check.h"
 #include "common/error.h"
@@ -13,6 +12,8 @@ namespace acdn {
 
 namespace {
 constexpr int kInf = std::numeric_limits<int>::max() / 2;
+/// Longest AS path a walk may take before the CDN hop.
+constexpr std::size_t kMaxWalkLength = 16;
 }
 
 const char* to_string(RouteType t) {
@@ -55,6 +56,7 @@ std::vector<AsId> BgpRouteTable::walk(AsId as_id,
   ACDN_DCHECK(std::is_sorted(cands.begin(), cands.end()))
       << "candidate table for AS " << as_id.value << " is unsorted";
   candidate_index = std::min(candidate_index, cands.size() - 1);
+  path.reserve(kMaxWalkLength + 1);  // one allocation, however long the walk
   path.push_back(as_id);
 
   RouteCandidate current = cands[candidate_index];
@@ -76,7 +78,8 @@ std::vector<AsId> BgpRouteTable::walk(AsId as_id,
     }
     if (next_route->type != RouteType::kProvider) customer_chain_only = true;
     current = *next_route;
-    require(path.size() <= 16, "BGP walk exceeded maximum path length");
+    require(path.size() <= kMaxWalkLength,
+            "BGP walk exceeded maximum path length");
   }
   ACDN_CHECK_EQ(path.back().value, cdn_.value)
       << "BGP walk must terminate at the CDN";
@@ -95,8 +98,11 @@ BgpRouteTable BgpSimulator::compute(
   metric_count("bgp.tables_computed");
   const AsGraph& g = *graph_;
   require(!announce_metros.empty(), "prefix must be announced somewhere");
-  const std::set<MetroId> announce(announce_metros.begin(),
-                                   announce_metros.end());
+  std::vector<MetroId> announce(announce_metros.begin(),
+                                announce_metros.end());
+  std::sort(announce.begin(), announce.end());
+  announce.erase(std::unique(announce.begin(), announce.end()),
+                 announce.end());
   for (MetroId m : announce_metros) {
     require(g.as_node(cdn_).present_in(m),
             "announce metro is not a CDN PoP");
@@ -108,16 +114,19 @@ BgpRouteTable BgpSimulator::compute(
   // over a configured peering metro that originates it, or — because the
   // prefix is announced to everyone interconnected at the announce point
   // (§3.1) — at any announce metro where the neighbor has a PoP at all.
-  auto adjacency_usable = [&](std::size_t link_index, AsId neighbor) {
-    const AsLink& link = g.link(link_index);
-    if (std::any_of(link.metros.begin(), link.metros.end(),
-                    [&](MetroId m) { return announce.count(m) > 0; })) {
-      return true;
-    }
-    const AsNode& node = g.as_node(neighbor);
-    return std::any_of(announce.begin(), announce.end(),
-                       [&](MetroId m) { return node.present_in(m); });
+  // Decided once per CDN link, indexed by link.
+  const auto announced = [&](MetroId m) {
+    return std::binary_search(announce.begin(), announce.end(), m);
   };
+  std::vector<bool> usable(g.link_count(), false);
+  for (const Neighbor& nb : g.neighbors(cdn_)) {
+    const AsLink& link = g.link(nb.link_index);
+    const AsNode& node = g.as_node(nb.as);
+    usable[nb.link_index] =
+        std::any_of(link.metros.begin(), link.metros.end(), announced) ||
+        std::any_of(announce.begin(), announce.end(),
+                    [&](MetroId m) { return node.present_in(m); });
+  }
 
   // --- Stage 1: customer routes (paths that only descend provider->customer
   // edges when viewed from the route holder; equivalently, the CDN is in the
@@ -127,8 +136,7 @@ BgpRouteTable BgpSimulator::compute(
   std::deque<AsId> queue;
   // Seed: ASes for which the CDN is a customer, via usable adjacencies.
   for (const Neighbor& nb : g.neighbors(cdn_)) {
-    if (nb.kind == Neighbor::Kind::kProvider &&
-        adjacency_usable(nb.link_index, nb.as)) {
+    if (nb.kind == Neighbor::Kind::kProvider && usable[nb.link_index]) {
       if (cust_len[nb.as.value] > 1) {
         cust_len[nb.as.value] = 1;
         queue.push_back(nb.as);
@@ -154,7 +162,7 @@ BgpRouteTable BgpSimulator::compute(
     const AsId x(static_cast<std::uint32_t>(i));
     if (x == cdn_) continue;
     for (const Neighbor& nb : g.neighbors(x)) {
-      if (nb.as == cdn_ && !adjacency_usable(nb.link_index, x)) continue;
+      if (nb.as == cdn_ && !usable[nb.link_index]) continue;
       if (nb.kind == Neighbor::Kind::kPeer && cust_len[nb.as.value] < kInf) {
         peer_len[i] = std::min(peer_len[i], cust_len[nb.as.value] + 1);
       }
@@ -181,9 +189,7 @@ BgpRouteTable BgpSimulator::compute(
       if (node.id == cdn_) continue;
       for (const Neighbor& nb : g.neighbors(node.id)) {
         if (nb.kind != Neighbor::Kind::kProvider) continue;
-        if (nb.as == cdn_ && !adjacency_usable(nb.link_index, node.id)) {
-          continue;
-        }
+        if (nb.as == cdn_ && !usable[nb.link_index]) continue;
         const int via = selected_len(nb.as.value);
         if (via < kInf && prov_len[i] > via + 1) {
           prov_len[i] = via + 1;
@@ -208,8 +214,7 @@ BgpRouteTable BgpSimulator::compute(
     }
     cands.clear();
     for (const Neighbor& nb : g.neighbors(node.id)) {
-      const bool via_cdn = nb.as == cdn_;
-      if (via_cdn && !adjacency_usable(nb.link_index, node.id)) continue;
+      if (nb.as == cdn_ && !usable[nb.link_index]) continue;
       switch (nb.kind) {
         case Neighbor::Kind::kCustomer:
           if (cust_len[nb.as.value] < kInf) {

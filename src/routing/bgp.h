@@ -80,7 +80,9 @@ class BgpSimulator {
 
   /// Computes every AS's routes for a prefix originated at
   /// `announce_metros` (each must be a CDN PoP). A CDN adjacency is usable
-  /// for the prefix only if it has a peering metro in the announce set.
+  /// for the prefix only if it has a peering metro in the announce set or
+  /// the neighbor has a PoP at an announce metro; each CDN link is judged
+  /// once per table.
   [[nodiscard]] BgpRouteTable compute(
       std::span<const MetroId> announce_metros) const;
 

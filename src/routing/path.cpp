@@ -13,6 +13,20 @@ std::vector<AsId> ForwardingPath::as_path() const {
   return out;
 }
 
+PathUnfolder::PathUnfolder(const AsGraph& graph, AsId cdn)
+    : graph_(&graph),
+      cdn_(cdn),
+      metro_count_(graph.metros().size()),
+      presence_(graph.as_count() * metro_count_, false) {
+  for (const AsNode& node : graph.all_as()) {
+    for (MetroId m : node.presence) {
+      const MetroId checked = graph.metros().metro(m).id;  // throws if unknown
+      presence_[std::size_t{node.id.value} * metro_count_ + checked.value] =
+          true;
+    }
+  }
+}
+
 MetroId PathUnfolder::choose_handoff(const AsNode& node, MetroId current,
                                      std::span<const MetroId> options,
                                      bool cdn_handoff) const {
@@ -38,13 +52,29 @@ ForwardingPath PathUnfolder::unfold(AsId access_as, MetroId client_metro,
   std::vector<MetroId> announce_sorted(announce_metros.begin(),
                                        announce_metros.end());
   std::sort(announce_sorted.begin(), announce_sorted.end());
-  return unfold_chain(chain, client_metro, announce_metros, announce_sorted);
+  return trace_chain(chain, client_metro, announce_metros, announce_sorted);
 }
 
 ForwardingPath PathUnfolder::unfold_chain(
     std::span<const AsId> chain, MetroId client_metro,
     std::span<const MetroId> announce_metros,
     std::span<const MetroId> announce_sorted) const {
+  return unfold_hops(chain, client_metro, announce_metros, announce_sorted,
+                     false);
+}
+
+ForwardingPath PathUnfolder::trace_chain(
+    std::span<const AsId> chain, MetroId client_metro,
+    std::span<const MetroId> announce_metros,
+    std::span<const MetroId> announce_sorted) const {
+  return unfold_hops(chain, client_metro, announce_metros, announce_sorted,
+                     true);
+}
+
+ForwardingPath PathUnfolder::unfold_hops(
+    std::span<const AsId> chain, MetroId client_metro,
+    std::span<const MetroId> announce_metros,
+    std::span<const MetroId> announce_sorted, bool with_segments) const {
   ForwardingPath path;
   if (chain.empty()) return path;  // unreachable
 
@@ -54,14 +84,16 @@ ForwardingPath PathUnfolder::unfold_chain(
   };
 
   MetroId current = client_metro;
+  std::vector<MetroId> cdn_options;
   for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
     const AsNode& node = graph_->as_node(chain[i]);
     const AsId next = chain[i + 1];
-    require(node.present_in(current),
-            "path unfolding entered AS " + node.name +
-                " at a metro without a PoP");
+    if (!present(node.id, current)) {
+      throw ConfigError("path unfolding entered AS " + node.name +
+                        " at a metro without a PoP");
+    }
 
-    std::vector<MetroId> options = graph_->peering_metros(chain[i], next);
+    std::span<const MetroId> options = graph_->peering_metros(node.id, next);
     if (next == cdn_) {
       // Handoff into the CDN can happen at any metro where the prefix is
       // originated and this network is interconnected with the CDN: a
@@ -69,22 +101,27 @@ ForwardingPath PathUnfolder::unfold_chain(
       // where the network has a PoP (the prefix is announced to everyone
       // interconnected at that peering point, §3.1). The same sessions
       // serve the anycast and unicast prefixes; only the announce scope
-      // differs.
-      std::erase_if(options, [&](MetroId m) { return !announced(m); });
-      for (MetroId m : announce_metros) {
-        if (node.present_in(m) &&
-            std::find(options.begin(), options.end(), m) == options.end()) {
-          options.push_back(m);
-        }
+      // differs. A metro listed twice keeps its first place, and a later
+      // copy can change neither the first-minimum choice nor a preferred
+      // handoff's membership, so the list is not deduplicated.
+      cdn_options.reserve(options.size() + announce_metros.size());
+      for (MetroId m : options) {
+        if (announced(m)) cdn_options.push_back(m);
       }
+      for (MetroId m : announce_metros) {
+        if (present(node.id, m)) cdn_options.push_back(m);
+      }
+      options = cdn_options;
     }
     if (options.empty()) return path;  // inconsistent table; treat unreachable
 
     const MetroId handoff =
         choose_handoff(node, current, options, next == cdn_);
     const Kilometers km =
-        graph_->intra_as_distance_km(chain[i], current, handoff);
-    path.segments.push_back(PathSegment{chain[i], current, handoff, km});
+        graph_->intra_as_distance_km(node.id, current, handoff);
+    if (with_segments) {
+      path.segments.push_back(PathSegment{node.id, current, handoff, km});
+    }
     path.total_km += km;
     current = handoff;
   }

@@ -36,10 +36,11 @@ std::size_t AsGraph::add_link(AsLink link) {
   const AsNode& na = as_node(link.a);
   const AsNode& nb = as_node(link.b);
   for (MetroId m : link.metros) {
-    require(na.present_in(m) && nb.present_in(m),
-            "both ASes must be present in every peering metro (" +
-                na.name + " -- " + nb.name + " at " +
-                metros_->metro(m).name + ")");
+    if (!na.present_in(m) || !nb.present_in(m)) {
+      throw ConfigError("both ASes must be present in every peering metro (" +
+                        na.name + " -- " + nb.name + " at " +
+                        metros_->metro(m).name + ")");
+    }
   }
   const std::size_t index = links_.size();
 
@@ -75,18 +76,23 @@ std::span<const Neighbor> AsGraph::neighbors(AsId id) const {
   return adjacency_[id.value];
 }
 
-std::vector<MetroId> AsGraph::peering_metros(AsId a, AsId b) const {
+std::span<const MetroId> AsGraph::peering_metros(AsId a, AsId b) const {
   for (const Neighbor& n : neighbors(a)) {
     if (n.as == b) return links_[n.link_index].metros;
   }
   return {};
 }
 
-std::vector<AsId> AsGraph::access_ases_in(MetroId metro) const {
-  std::vector<AsId> out;
+std::vector<std::vector<AsId>> AsGraph::access_ases_by_metro() const {
+  std::vector<std::vector<AsId>> out(metros_->size());
   for (const AsNode& node : nodes_) {
-    if (node.type == AsType::kAccess && node.present_in(metro)) {
-      out.push_back(node.id);
+    if (node.type != AsType::kAccess) continue;
+    for (MetroId m : node.presence) {
+      std::vector<AsId>& in_metro = out[metros_->metro(m).id.value];
+      // A presence list may repeat a metro; the AS is listed once.
+      if (in_metro.empty() || in_metro.back() != node.id) {
+        in_metro.push_back(node.id);
+      }
     }
   }
   return out;

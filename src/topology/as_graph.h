@@ -90,11 +90,13 @@ class AsGraph {
   [[nodiscard]] const AsLink& link(std::size_t index) const;
   [[nodiscard]] std::span<const Neighbor> neighbors(AsId id) const;
 
-  /// Metros where `a` and `b` interconnect (empty if not adjacent).
-  [[nodiscard]] std::vector<MetroId> peering_metros(AsId a, AsId b) const;
+  /// Metros where `a` and `b` interconnect (empty if not adjacent): a
+  /// view of the link's list, valid until the next add_link.
+  [[nodiscard]] std::span<const MetroId> peering_metros(AsId a, AsId b) const;
 
-  /// Access ISPs with a PoP in `metro`.
-  [[nodiscard]] std::vector<AsId> access_ases_in(MetroId metro) const;
+  /// Every metro's access ISPs, indexed by metro id, each list in AsId
+  /// order. One pass over the ASes.
+  [[nodiscard]] std::vector<std::vector<AsId>> access_ases_by_metro() const;
 
   /// All ASes of a given type.
   [[nodiscard]] std::vector<AsId> ases_of_type(AsType t) const;

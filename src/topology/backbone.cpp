@@ -18,8 +18,8 @@ void BackboneGraph::add_link(const MetroDatabase& metros, MetroId a,
   }
   const Kilometers km = metros.distance_km(a, b) * fiber_factor;
   links_.push_back(BackboneLink{a, b, km});
-  adjacency_[index_[a]].emplace_back(index_[b], km);
-  adjacency_[index_[b]].emplace_back(index_[a], km);
+  adjacency_[index_[a.value]].emplace_back(index_[b.value], km);
+  adjacency_[index_[b.value]].emplace_back(index_[a.value], km);
 }
 
 BackboneGraph BackboneGraph::build(const MetroDatabase& metros,
@@ -33,7 +33,10 @@ BackboneGraph BackboneGraph::build(const MetroDatabase& metros,
   BackboneGraph g;
   g.pops_ = pops;
   g.adjacency_.resize(pops.size());
-  for (std::size_t i = 0; i < pops.size(); ++i) g.index_[pops[i]] = i;
+  g.index_.assign(metros.size(), kNoPop);
+  for (std::size_t i = 0; i < pops.size(); ++i) {
+    g.index_[metros.metro(pops[i]).id.value] = i;
+  }
 
   Rng gen = rng.fork("backbone");
   auto factor = [&] {
@@ -148,19 +151,17 @@ void BackboneGraph::run_all_pairs() {
 }
 
 Kilometers BackboneGraph::distance_km(MetroId from, MetroId to) const {
-  const auto fi = index_.find(from);
-  const auto ti = index_.find(to);
-  if (fi == index_.end() || ti == index_.end()) return kUnreachable;
-  return dist_[fi->second][ti->second];
+  const std::size_t fi = index_of(from);
+  const std::size_t ti = index_of(to);
+  if (fi == kNoPop || ti == kNoPop) return kUnreachable;
+  return dist_[fi][ti];
 }
 
 std::vector<MetroId> BackboneGraph::path(MetroId from, MetroId to) const {
   std::vector<MetroId> out;
-  const auto fi = index_.find(from);
-  const auto ti = index_.find(to);
-  if (fi == index_.end() || ti == index_.end()) return out;
-  std::size_t u = fi->second;
-  const std::size_t dst = ti->second;
+  std::size_t u = index_of(from);
+  const std::size_t dst = index_of(to);
+  if (u == kNoPop || dst == kNoPop) return out;
   out.push_back(from);
   while (u != dst) {
     u = next_[u][dst];

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -58,20 +57,25 @@ class BackboneGraph {
   }
   [[nodiscard]] const std::vector<MetroId>& pops() const { return pops_; }
   [[nodiscard]] bool contains(MetroId pop) const {
-    return index_.count(pop) > 0;
+    return index_of(pop) != kNoPop;
   }
 
   static constexpr Kilometers kUnreachable =
       std::numeric_limits<double>::infinity();
 
  private:
+  static constexpr std::size_t kNoPop = std::numeric_limits<std::size_t>::max();
+
+  /// Dense PoP index of `pop`, or kNoPop if it is not a PoP.
+  [[nodiscard]] std::size_t index_of(MetroId pop) const {
+    return pop.value < index_.size() ? index_[pop.value] : kNoPop;
+  }
   void add_link(const MetroDatabase& metros, MetroId a, MetroId b,
                 double fiber_factor);
   void run_all_pairs();
 
   std::vector<MetroId> pops_;
-  // NOLINT-ACDN(unordered-decl): metro -> dense-index lookups only;
-  std::unordered_map<MetroId, std::size_t> index_;  // walks use pops_
+  std::vector<std::size_t> index_;  // by metro id; kNoPop off the PoP set
   std::vector<BackboneLink> links_;
   std::vector<std::vector<std::pair<std::size_t, Kilometers>>> adjacency_;
   // Dense all-pairs distance matrix (PoP counts are small: < 100) and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <string>
 
 #include "common/error.h"
@@ -38,12 +37,16 @@ std::vector<MetroId> all_hubs(const MetroDatabase& metros,
   return hubs;
 }
 
-std::vector<MetroId> intersection(const std::vector<MetroId>& a,
+/// The metros of `b` that are also in `a`, in `b`'s order: `a` is marked
+/// in a bitset over the database's metro ids.
+std::vector<MetroId> intersection(const MetroDatabase& metros,
+                                  const std::vector<MetroId>& a,
                                   const std::vector<MetroId>& b) {
-  std::set<MetroId> sa(a.begin(), a.end());
+  std::vector<bool> in_a(metros.size(), false);
+  for (MetroId m : a) in_a[metros.metro(m).id.value] = true;
   std::vector<MetroId> out;
   for (MetroId m : b) {
-    if (sa.count(m)) out.push_back(m);
+    if (m.value < in_a.size() && in_a[m.value]) out.push_back(m);
   }
   return out;
 }
@@ -141,7 +144,7 @@ AsGraph build_topology(const MetroDatabase& metros,
   // Tier-1 full peer mesh.
   for (std::size_t i = 0; i < tier1s.size(); ++i) {
     for (std::size_t j = i + 1; j < tier1s.size(); ++j) {
-      auto common = intersection(graph.as_node(tier1s[i]).presence,
+      auto common = intersection(metros, graph.as_node(tier1s[i]).presence,
                                  graph.as_node(tier1s[j]).presence);
       if (common.empty()) continue;
       graph.add_link(AsLink{tier1s[i], tier1s[j], Relationship::kPeerToPeer,
@@ -183,7 +186,7 @@ AsGraph build_topology(const MetroDatabase& metros,
       int added = 0;
       for (AsId t1 : shuffled) {
         if (added == providers) break;
-        auto common = intersection(graph.as_node(id).presence,
+        auto common = intersection(metros, graph.as_node(id).presence,
                                    graph.as_node(t1).presence);
         if (common.empty()) continue;
         graph.add_link(AsLink{id, t1, Relationship::kCustomerToProvider,
@@ -197,7 +200,7 @@ AsGraph build_topology(const MetroDatabase& metros,
     for (std::size_t i = 0; i < rts.size(); ++i) {
       for (std::size_t j = i + 1; j < rts.size(); ++j) {
         if (!tr_rng.bernoulli(config.transit_peer_prob)) continue;
-        auto common = intersection(graph.as_node(rts[i]).presence,
+        auto common = intersection(metros, graph.as_node(rts[i]).presence,
                                    graph.as_node(rts[j]).presence);
         if (common.empty()) continue;
         graph.add_link(AsLink{rts[i], rts[j], Relationship::kPeerToPeer,
@@ -223,7 +226,7 @@ AsGraph build_topology(const MetroDatabase& metros,
     int added = 0;
     for (AsId provider : candidates) {
       if (added == want) break;
-      auto common = intersection(node.presence,
+      auto common = intersection(metros, node.presence,
                                  graph.as_node(provider).presence);
       if (common.empty()) continue;
       graph.add_link(AsLink{access, provider,
@@ -369,7 +372,7 @@ AsId add_cdn_as(AsGraph& graph, std::vector<MetroId> presence,
   for (std::size_t i = 1; i < tier1s.size(); ++i) {
     if (transit_added == config.transit_providers) break;
     const AsId t1 = tier1s[i];
-    auto common = intersection(graph.as_node(cdn).presence,
+    auto common = intersection(metros, graph.as_node(cdn).presence,
                                graph.as_node(t1).presence);
     if (common.empty()) continue;
     graph.add_link(
@@ -384,7 +387,7 @@ AsId add_cdn_as(AsGraph& graph, std::vector<MetroId> presence,
     bool already = false;
     for (const Neighbor& n : graph.neighbors(cdn)) already |= (n.as == t1);
     if (already || !link_rng.bernoulli(config.tier1_peer_prob)) continue;
-    auto common = intersection(graph.as_node(cdn).presence,
+    auto common = intersection(metros, graph.as_node(cdn).presence,
                                graph.as_node(t1).presence);
     if (common.empty()) continue;
     graph.add_link(
@@ -393,7 +396,7 @@ AsId add_cdn_as(AsGraph& graph, std::vector<MetroId> presence,
   }
   for (AsId tr : graph.ases_of_type(AsType::kTransit)) {
     if (!link_rng.bernoulli(config.transit_peer_prob)) continue;
-    auto common = intersection(graph.as_node(cdn).presence,
+    auto common = intersection(metros, graph.as_node(cdn).presence,
                                graph.as_node(tr).presence);
     if (common.empty()) continue;
     graph.add_link(
@@ -409,13 +412,14 @@ AsId add_cdn_as(AsGraph& graph, std::vector<MetroId> presence,
     const double peer_prob =
         anode.remote_peering_policy ? 0.9 : config.access_peer_prob;
     if (!link_rng.bernoulli(peer_prob)) continue;
-    auto common = intersection(graph.as_node(cdn).presence, anode.presence);
+    auto common =
+        intersection(metros, graph.as_node(cdn).presence, anode.presence);
     if (common.empty()) continue;
     std::vector<MetroId> peering;
     if (anode.remote_peering_policy) {
       // Remote-peering ISPs interconnect only at their preferred handoffs
       // (when the CDN is present there) — the §5 pathology.
-      peering = intersection(common, anode.preferred_handoffs);
+      peering = intersection(metros, common, anode.preferred_handoffs);
       if (peering.empty()) continue;
     } else {
       peering = cap_by_population(

@@ -83,10 +83,13 @@ ClientPopulation ClientPopulation::generate(const AsGraph& graph,
   Rng gen = rng.fork("clients");
   std::vector<Client24> clients;
   clients.reserve(static_cast<std::size_t>(config.total_client_24s));
+  const std::vector<std::vector<AsId>> isps_by_metro =
+      graph.access_ases_by_metro();
   for (const Metro& m : metros.all()) {
-    const std::vector<AsId> isps = graph.access_ases_in(m.id);
-    require(!isps.empty(),
-            "no access ISP present in metro " + m.name);
+    const std::vector<AsId>& isps = isps_by_metro[m.id.value];
+    if (isps.empty()) {
+      throw ConfigError("no access ISP present in metro " + m.name);
+    }
     // National ISPs carry more subscribers than metro-local ones.
     std::vector<double> isp_weight;
     isp_weight.reserve(isps.size());

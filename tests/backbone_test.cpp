@@ -106,6 +106,21 @@ TEST(BackboneGraph, PathEndpointsAndMembership) {
   EXPECT_EQ(self.front(), kDenver);
 }
 
+TEST(BackboneGraph, NonPopAnswersFalseAndUnreachable) {
+  const MetroDatabase metros = testfx::tiny_metros();
+  Rng rng(5);
+  const std::vector<MetroId> pops{kSeattle, kDenver, kChicago};
+  const BackboneGraph g = BackboneGraph::build(metros, pops, no_jitter(), rng);
+  EXPECT_TRUE(g.contains(kChicago));
+  for (const MetroId off : {kNewYork, MetroId(999), MetroId{}}) {
+    EXPECT_FALSE(g.contains(off)) << off.value;
+    EXPECT_EQ(g.distance_km(kSeattle, off), BackboneGraph::kUnreachable);
+    EXPECT_EQ(g.distance_km(off, kSeattle), BackboneGraph::kUnreachable);
+    EXPECT_TRUE(g.path(off, kSeattle).empty());
+    EXPECT_TRUE(g.path(kSeattle, off).empty());
+  }
+}
+
 TEST(BackboneGraph, DeterministicForSameRngState) {
   const MetroDatabase& metros = MetroDatabase::world();
   std::vector<MetroId> pops;

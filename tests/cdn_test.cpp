@@ -287,6 +287,25 @@ TEST_F(CdnFixture, NearestFrontEndFromPops) {
   EXPECT_THROW((void)cdn_->nearest_front_end(MetroId(999)), Error);
 }
 
+TEST_F(CdnFixture, NearestFrontEndThrowsOffThePopSet) {
+  const auto& pops = cdn_->anycast_announce_metros();
+  const MetroId off_pop =
+      std::find(pops.begin(), pops.end(), kChicago) == pops.end() ? kChicago
+                                                                  : kDenver;
+  ASSERT_TRUE(std::find(pops.begin(), pops.end(), off_pop) == pops.end());
+  try {
+    (void)cdn_->nearest_front_end(off_pop);
+    ADD_FAILURE() << "a metro without a PoP has no front end";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(metros_.metro(off_pop).name),
+              std::string::npos)
+        << e.what();
+  }
+  // Ids past the metro table fail while naming the metro.
+  EXPECT_THROW((void)cdn_->nearest_front_end(MetroId(999)), NotFoundError);
+  EXPECT_THROW((void)cdn_->nearest_front_end(MetroId{}), NotFoundError);
+}
+
 TEST_F(CdnFixture, AnycastRoutesToNearbyFrontEnd) {
   const RouteResult seattle = router_->route_anycast(isp_, kSeattle);
   ASSERT_TRUE(seattle.valid);

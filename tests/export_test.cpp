@@ -600,6 +600,31 @@ TEST(Export, ImportRejectsInexactIntegerFields) {
   std::remove(path.c_str());
 }
 
+TEST(Export, ImportRejectsTrailingComma) {
+  // A trailing comma is a trailing empty field: the row has one field too
+  // many and is rejected, where a getline split used to drop it.
+  const std::string path = temp_path("acdn_trailing_comma.csv");
+  {
+    std::ofstream out(path);
+    out << "day,client,front_end,queries\n0,1,2,4,\n";
+  }
+  EXPECT_THROW((void)import_passive_log(path), ConfigError);
+  {
+    std::ofstream out(path);
+    out << "beacon_id,day,hour,client,ldns,anycast,front_end,rtt_ms\n"
+        << "1,0,1.5,2,3,1,0,20,\n";
+  }
+  EXPECT_THROW((void)import_measurements(path), ConfigError);
+  // The same rows without the comma read back.
+  {
+    std::ofstream out(path);
+    out << "beacon_id,day,hour,client,ldns,anycast,front_end,rtt_ms\n"
+        << "1,0,1.5,2,3,1,0,20\n";
+  }
+  EXPECT_EQ(import_measurements(path).total(), 1u);
+  std::remove(path.c_str());
+}
+
 TEST(Export, ImportRejectsMalformedInput) {
   const std::string path = temp_path("acdn_bad.csv");
   {

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 
 #include "common/error.h"
 #include "geo/geo_point.h"
 #include "geo/geolocation.h"
 #include "geo/metro.h"
+#include "test_fixtures.h"
 
 namespace acdn {
 namespace {
@@ -125,6 +127,27 @@ TEST(MetroDatabase, ThrowsOnBadId) {
   const MetroDatabase& db = MetroDatabase::world();
   EXPECT_THROW((void)db.metro(MetroId(9999)), NotFoundError);
   EXPECT_THROW((void)db.metro(MetroId{}), NotFoundError);
+}
+
+TEST(MetroDatabase, DistanceTableMatchesHaversine) {
+  const MetroDatabase tiny = testfx::tiny_metros();
+  for (const MetroDatabase* db : {&MetroDatabase::world(), &tiny}) {
+    const std::span<const Metro> all = db->all();
+    for (const Metro& a : all) {
+      for (const Metro& b : all) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(db->distance_km(a.id, b.id)),
+                  std::bit_cast<std::uint64_t>(
+                      haversine_km(a.location, b.location)))
+            << a.name << " -> " << b.name;
+      }
+    }
+    const MetroId past(static_cast<std::uint32_t>(db->size()));
+    const MetroId first = all.front().id;
+    EXPECT_THROW((void)db->distance_km(past, first), NotFoundError);
+    EXPECT_THROW((void)db->distance_km(first, past), NotFoundError);
+    EXPECT_THROW((void)db->distance_km(MetroId{}, first), NotFoundError);
+    EXPECT_THROW((void)db->distance_km(first, MetroId{}), NotFoundError);
+  }
 }
 
 // ------------------------------------------------------ GeolocationModel

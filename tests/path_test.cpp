@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.h"
 #include "routing/bgp.h"
 #include "routing/path.h"
 #include "test_fixtures.h"
@@ -132,6 +135,18 @@ TEST_F(PathTest, InvalidWhenUnreachable) {
   const ForwardingPath path =
       lonely_unfolder.unfold(isp_id, kDenver, table, seattle);
   EXPECT_FALSE(path.valid);
+}
+
+TEST_F(PathTest, EnteringAsWithoutPopThrowsAndNamesIt) {
+  // access_west has PoPs at Seattle and Denver only.
+  try {
+    (void)unfolder_.unfold(w_.access_west, kNewYork, table_,
+                           anycast_announce());
+    ADD_FAILURE() << "unfolding entered an AS at a metro without a PoP";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("AccessWest"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(PathTest, TotalKmIsSumOfSegments) {

@@ -92,9 +92,12 @@ TEST(AsGraph, NeighborKindsMatchRelationship) {
 TEST(AsGraph, PeeringMetros) {
   const MetroDatabase metros = testfx::tiny_metros();
   const testfx::TinyWorld w = testfx::tiny_world(metros);
-  EXPECT_EQ(w.graph.peering_metros(w.cdn, w.transit),
+  const auto contents = [](std::span<const MetroId> span) {
+    return std::vector<MetroId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(contents(w.graph.peering_metros(w.cdn, w.transit)),
             std::vector<MetroId>{kChicago});
-  EXPECT_EQ(w.graph.peering_metros(w.transit, w.cdn),
+  EXPECT_EQ(contents(w.graph.peering_metros(w.transit, w.cdn)),
             std::vector<MetroId>{kChicago});
   EXPECT_TRUE(w.graph.peering_metros(w.access_west, w.cdn).empty());
 }
@@ -102,10 +105,13 @@ TEST(AsGraph, PeeringMetros) {
 TEST(AsGraph, AccessAsesIn) {
   const MetroDatabase metros = testfx::tiny_metros();
   const testfx::TinyWorld w = testfx::tiny_world(metros);
-  const auto in_seattle = w.graph.access_ases_in(kSeattle);
+  const std::vector<std::vector<AsId>> by_metro =
+      w.graph.access_ases_by_metro();
+  ASSERT_EQ(by_metro.size(), metros.size());
+  const std::vector<AsId>& in_seattle = by_metro[kSeattle.value];
   ASSERT_EQ(in_seattle.size(), 1u);
   EXPECT_EQ(in_seattle.front(), w.access_west);
-  const auto in_chicago = w.graph.access_ases_in(kChicago);
+  const std::vector<AsId>& in_chicago = by_metro[kChicago.value];
   ASSERT_EQ(in_chicago.size(), 1u);
   EXPECT_EQ(in_chicago.front(), w.access_east);
 }
@@ -148,8 +154,10 @@ class BuilderTest : public ::testing::Test {
 };
 
 TEST_F(BuilderTest, EveryMetroHasAccessIsp) {
+  const std::vector<std::vector<AsId>> by_metro =
+      graph_->access_ases_by_metro();
   for (const Metro& m : MetroDatabase::world().all()) {
-    EXPECT_FALSE(graph_->access_ases_in(m.id).empty()) << m.name;
+    EXPECT_FALSE(by_metro[m.id.value].empty()) << m.name;
   }
 }
 
